@@ -106,12 +106,13 @@ Loaded BuildLoadedEngine(const std::string& letter, uint64_t seed,
   return l;
 }
 
-// The five query classes of the differential sweep.
+// The seven query classes of the differential sweep.
 struct QueryCase {
   std::string name;
   TemporalScanSpec spec;
   int64_t key = -1;       // -1: no key constraint
   bool aggregate = false; // compare SUM/COUNT instead of (only) rows
+  std::vector<int> projection;  // empty: all columns
 };
 
 std::vector<QueryCase> QueryCases(const Loaded& l) {
@@ -155,6 +156,24 @@ std::vector<QueryCase> QueryCases(const Loaded& l) {
     q.aggregate = true;
     cases.push_back(q);
   }
+  {
+    // Implicit current (no FOR SYSTEM_TIME clause): System B's current-only
+    // fast path, and the history-partition pruning of Systems A and C.
+    QueryCase q;
+    q.name = "implicit_current";
+    q.spec = TemporalScanSpec{};
+    cases.push_back(q);
+  }
+  {
+    // Projected scan over all versions: System C materializes only the
+    // projected and system-time columns of qualifying rows.
+    QueryCase q;
+    q.name = "projected";
+    q.spec.system_time = TemporalSelector::All();
+    q.spec.app_time = TemporalSelector::AsOf(150);
+    q.projection = {0, 2};
+    cases.push_back(q);
+  }
   return cases;
 }
 
@@ -164,6 +183,7 @@ ScanRequest MakeRequest(const QueryCase& qc, int threads, uint64_t morsel,
   req.table = "ITEM";
   req.temporal = qc.spec;
   if (qc.key >= 0) req.equals = {{0, Value(qc.key)}};
+  req.projection = qc.projection;
   req.exec.scan_threads = threads;
   req.exec.morsel_size = morsel;
   req.exec.scheduler = pool;
