@@ -25,6 +25,24 @@ inline double EnvScale(const char* name, double fallback) {
   return v == nullptr ? fallback : std::atof(v);
 }
 
+// Positive double from the environment, else `fallback`.
+inline double EnvDouble(const char* name, double fallback) {
+  if (const char* v = std::getenv(name)) {
+    const double x = std::atof(v);
+    if (x > 0.0) return x;
+  }
+  return fallback;
+}
+
+// Integer in [lo, hi] from the environment, else `fallback`.
+inline int EnvInt(const char* name, int fallback, int lo, int hi) {
+  if (const char* v = std::getenv(name)) {
+    const int x = std::atoi(v);
+    if (x >= lo && x <= hi) return x;
+  }
+  return fallback;
+}
+
 inline double ScaleH() { return EnvScale("BIH_H", 0.005); }
 inline double ScaleM() { return EnvScale("BIH_M", 0.005); }
 
@@ -87,6 +105,15 @@ double TimeMs(Fn&& fn, int runs = 3) {
   }
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
+}
+
+// The sample at rank floor(p * n), clamped to the maximum; 0 when empty.
+inline double Percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const size_t idx = std::min(
+      v.size() - 1, static_cast<size_t>(p * static_cast<double>(v.size())));
+  return v[idx];
 }
 
 // Paper-style output helpers.

@@ -15,13 +15,6 @@ namespace bih {
 namespace bench {
 namespace {
 
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(v.size() - 1));
-  return v[idx];
-}
-
 void Run() {
   const double h = EnvScale("BIH_H", 0.002);
   const double m = EnvScale("BIH_M", 0.004);

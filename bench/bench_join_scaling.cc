@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "exec/optimizer.h"
 #include "exec/parallel.h"
 #include "exec/plan.h"
@@ -33,22 +34,6 @@
 namespace bih {
 namespace bench {
 namespace {
-
-double EnvDouble(const char* name, double fallback) {
-  if (const char* v = std::getenv(name)) {
-    const double x = std::atof(v);
-    if (x > 0.0) return x;
-  }
-  return fallback;
-}
-
-int EnvInt(const char* name, int fallback, int lo, int hi) {
-  if (const char* v = std::getenv(name)) {
-    const int x = std::atoi(v);
-    if (x >= lo && x <= hi) return x;
-  }
-  return fallback;
-}
 
 TemporalScanSpec FullHistory() {
   TemporalScanSpec spec;

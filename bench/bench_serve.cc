@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "catalog/schema.h"
 #include "common/period.h"
 #include "engine/engine.h"
@@ -31,22 +32,6 @@
 namespace bih {
 namespace bench {
 namespace {
-
-int EnvInt(const char* name, int fallback, int lo, int hi) {
-  if (const char* v = std::getenv(name)) {
-    const int x = std::atoi(v);
-    if (x >= lo && x <= hi) return x;
-  }
-  return fallback;
-}
-
-double Percentile(std::vector<double>* v, double p) {
-  if (v->empty()) return 0.0;
-  std::sort(v->begin(), v->end());
-  const size_t idx = std::min(
-      v->size() - 1, static_cast<size_t>(p * static_cast<double>(v->size())));
-  return (*v)[idx];
-}
 
 std::unique_ptr<TemporalEngine> BuildEngine(int64_t rows) {
   auto engine = MakeEngine("A");
@@ -99,10 +84,10 @@ LatencySummary Summarize(std::vector<std::vector<double>>* per_thread,
   s.ops = all.size();
   s.errors = errors;
   s.wall_s = wall_s;
-  s.p50_us = Percentile(&all, 0.50);
-  s.p90_us = Percentile(&all, 0.90);
-  s.p99_us = Percentile(&all, 0.99);
-  s.max_us = Percentile(&all, 1.0);
+  s.p50_us = Percentile(all, 0.50);
+  s.p90_us = Percentile(all, 0.90);
+  s.p99_us = Percentile(all, 0.99);
+  s.max_us = Percentile(all, 1.0);
   return s;
 }
 

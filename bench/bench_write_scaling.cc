@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "catalog/schema.h"
 #include "common/period.h"
 #include "engine/engine.h"
@@ -31,14 +32,6 @@
 namespace bih {
 namespace bench {
 namespace {
-
-int EnvInt(const char* name, int fallback, int lo, int hi) {
-  if (const char* v = std::getenv(name)) {
-    const int x = std::atoi(v);
-    if (x >= lo && x <= hi) return x;
-  }
-  return fallback;
-}
 
 std::unique_ptr<TemporalEngine> BuildEngine(int64_t rows) {
   auto engine = MakeEngine("A");

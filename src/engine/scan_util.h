@@ -4,6 +4,8 @@
 #include "catalog/schema.h"
 #include "common/value.h"
 #include "engine/engine.h"
+#include "exec/parallel.h"
+#include "storage/row_table.h"
 #include "temporal/temporal.h"
 
 namespace bih {
@@ -45,6 +47,31 @@ inline void RecordIndexUse(ExecStats* stats, const std::string& name) {
   stats->used_index = true;
   if (!stats->index_name.empty()) stats->index_name += ",";
   stats->index_name += name;
+}
+
+// The sink of one scan's index access and serial loop (see ScanSlots),
+// counting into `stats`.
+inline ScanSink MakeScanSink(const ScanRequest& req, ExecStats* stats,
+                             bool* stopped, const RowCallback& cb) {
+  return ScanSink{req.ctx, &stats->rows_examined, &stats->rows_output,
+                  stopped, cb};
+}
+
+// The per-row scan body (see ScanSlots) of a row store that keeps
+// scan-schema rows verbatim, as Systems A and D do: the stored row is
+// filtered and emitted in place.
+inline auto StoredRowVisit(const RowTable& part, const ScanRequest& req,
+                           const TemporalCols& tc, int64_t now) {
+  return [&part, &req, tc, now](RowId rid, auto& sink) -> bool {
+    if (!part.IsLive(rid)) return true;
+    if (!sink.Examine()) return false;
+    const Row& row = part.Get(rid);
+    if (!MatchesTemporal(row, req.temporal, tc, now) ||
+        !MatchesConstraints(row, req)) {
+      return true;
+    }
+    return sink.Emit(row);
+  };
 }
 
 }  // namespace bih

@@ -219,23 +219,6 @@ Status SystemAEngine::DoDeleteSequenced(const std::string& table,
   return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
-void SystemAEngine::ScanMorsel(const RowTable& part, const ScanRequest& req,
-                               const TemporalCols& tc, int64_t now,
-                               uint64_t begin, uint64_t end,
-                               const std::atomic<bool>& stop,
-                               MorselOutput* out) const {
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!part.IsLive(rid)) continue;
-    ++out->rows_examined;
-    const Row& row = part.Get(rid);
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(row);
-    out->examined_at.push_back(out->rows_examined);
-  }
-}
-
 void SystemAEngine::ScanPartition(const Table& t, bool is_history,
                                   const ScanRequest& req,
                                   const TemporalCols& tc,
@@ -246,31 +229,13 @@ void SystemAEngine::ScanPartition(const Table& t, bool is_history,
   const RowTable& part = is_history ? t.history : t.current;
   ++stats->partitions_touched;
   if (is_history) stats->touched_history = true;
-  const int64_t now = clock_.Now().micros();
-
-  auto consider = [&](const Row& row) -> bool {
-    if (req.ctx != nullptr && !req.ctx->KeepGoing()) {
-      *stopped = true;
-      return false;
-    }
-    ++stats->rows_examined;
-    if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
-    if (!MatchesConstraints(row, req)) return true;
-    ++stats->rows_output;
-    if (!cb(row)) {
-      *stopped = true;
-      return false;
-    }
-    return true;
-  };
+  const auto visit = StoredRowVisit(part, req, tc, clock_.Now().micros());
+  ScanSink sink = MakeScanSink(req, stats, stopped, cb);
 
   // Access path: tuning indexes first; the system key index on the current
   // partition next; table scan as the fallback.
   std::string index_name;
-  auto emit_rid = [&](RowId rid) -> bool {
-    if (!part.IsLive(rid)) return true;
-    return consider(part.Get(rid));
-  };
+  auto emit_rid = [&](RowId rid) { return visit(rid, sink); };
   if (tuning.TryIndexAccess(req, tc, part.LiveCount(), &index_name, emit_rid)) {
     RecordIndexUse(stats, index_name);
     return;
@@ -294,17 +259,7 @@ void SystemAEngine::ScanPartition(const Table& t, bool is_history,
       return;
     }
   }
-  if (plan.Engage(part.SlotCount())) {
-    ParallelScanPartition(
-        plan, part.SlotCount(), req.ctx,
-        [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-            MorselOutput* out) {
-          ScanMorsel(part, req, tc, now, begin, end, stop, out);
-        },
-        &stats->rows_examined, &stats->rows_output, stopped, cb);
-    return;
-  }
-  part.Scan([&](RowId, const Row& row) { return consider(row); });
+  ScanSlots(plan, part.SlotCount(), sink, visit);
 }
 
 void SystemAEngine::Scan(const ScanRequest& req, const RowCallback& cb) {

@@ -298,64 +298,6 @@ Status SystemBEngine::DoDeleteSequenced(const std::string& table,
   return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
-void SystemBEngine::ScanCurrentMorsel(const Table& t, const ScanRequest& req,
-                                      const TemporalCols& tc, int64_t now,
-                                      uint64_t begin, uint64_t end,
-                                      const std::atomic<bool>& stop,
-                                      MorselOutput* out) const {
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!t.current.IsLive(rid)) continue;
-    ++out->rows_examined;
-    Row row = t.current.Get(rid);
-    auto it = t.version_slot.find(rid);
-    row.push_back(Value(t.versions[it->second].sys_from));
-    row.push_back(Value(Period::kForever));
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(std::move(row));
-    out->examined_at.push_back(out->rows_examined);
-  }
-}
-
-void SystemBEngine::ScanReconstructionMorsel(
-    const Table& t, const std::vector<int64_t>& sys_from_of,
-    const ScanRequest& req, const TemporalCols& tc, int64_t now,
-    uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-    MorselOutput* out) const {
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!t.current.IsLive(rid)) continue;
-    ++out->rows_examined;
-    Row row = t.current.Get(rid);
-    row.push_back(Value(sys_from_of[rid]));
-    row.push_back(Value(Period::kForever));
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(std::move(row));
-    out->examined_at.push_back(out->rows_examined);
-  }
-}
-
-void SystemBEngine::ScanHistoryMorsel(const Table& t, const ScanRequest& req,
-                                      const TemporalCols& tc, int64_t now,
-                                      uint64_t begin, uint64_t end,
-                                      const std::atomic<bool>& stop,
-                                      MorselOutput* out) const {
-  const int scan_width = t.stored_schema.num_columns();
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!t.history.IsLive(rid)) continue;
-    ++out->rows_examined;
-    const Row& hist_row = t.history.Get(rid);
-    Row row(hist_row.begin(), hist_row.begin() + scan_width);
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(std::move(row));
-    out->examined_at.push_back(out->rows_examined);
-  }
-}
-
 void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
                                                   const ScanRequest& req,
                                                   const TemporalCols& tc,
@@ -381,49 +323,29 @@ void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
     if (m.row_ref != kInvalidRowId) sys_from_of[m.row_ref] = m.sys_from;
   }
 
-  auto consider = [&](RowId rid, const Row& user_row) -> bool {
-    if (req.ctx != nullptr && !req.ctx->KeepGoing()) {
-      *stopped = true;
-      return false;
-    }
-    ++stats->rows_examined;
-    Row row = user_row;
+  auto visit = [&, row = Row()](RowId rid, auto& sink) mutable -> bool {
+    if (!t->current.IsLive(rid)) return true;
+    if (!sink.Examine()) return false;
+    const Row& user_row = t->current.Get(rid);
+    row.assign(user_row.begin(), user_row.end());
     row.push_back(Value(sys_from_of[rid]));
     row.push_back(Value(Period::kForever));
     if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
     if (!MatchesConstraints(row, req)) return true;
-    ++stats->rows_output;
-    if (!cb(row)) {
-      *stopped = true;
-      return false;
-    }
-    return true;
+    return sink.Emit(row);
   };
+  ScanSink sink = MakeScanSink(req, stats, stopped, cb);
 
   std::string index_name;
   if (t->current_indexes.TryIndexAccess(
-          req, tc, t->current.LiveCount(), &index_name, [&](RowId rid) {
-            if (!t->current.IsLive(rid)) return true;
-            return consider(rid, t->current.Get(rid));
-          })) {
+          req, tc, t->current.LiveCount(), &index_name,
+          [&](RowId rid) { return visit(rid, sink); })) {
     RecordIndexUse(stats, index_name);
     return;
   }
-  if (plan.Engage(t->current.SlotCount())) {
-    // The sorted sys_from_of join result is built once on the coordinator
-    // above; the morsels only read it.
-    ParallelScanPartition(
-        plan, t->current.SlotCount(), req.ctx,
-        [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-            MorselOutput* out) {
-          ScanReconstructionMorsel(*t, sys_from_of, req, tc, now, begin, end,
-                                   stop, out);
-        },
-        &stats->rows_examined, &stats->rows_output, stopped, cb);
-    return;
-  }
-  t->current.Scan(
-      [&](RowId rid, const Row& row) { return consider(rid, row); });
+  // The sorted sys_from_of join result is built once on the coordinator
+  // above; the morsels only read it.
+  ScanSlots(plan, t->current.SlotCount(), sink, visit);
 }
 
 void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
@@ -445,24 +367,23 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
     // Fast path: current partition only; the system time of a current row
     // is fetched through the row-reference without a join.
     ++stats->partitions_touched;
-    auto consider = [&](RowId rid, const Row& user_row) -> bool {
-      if (req.ctx != nullptr && !req.ctx->KeepGoing()) return false;
-      ++stats->rows_examined;
-      Row row = user_row;
+    auto visit = [&, row = Row()](RowId rid, auto& sink) mutable -> bool {
+      if (!t->current.IsLive(rid)) return true;
+      if (!sink.Examine()) return false;
+      const Row& user_row = t->current.Get(rid);
+      row.assign(user_row.begin(), user_row.end());
       auto it = t->version_slot.find(rid);
       row.push_back(Value(t->versions[it->second].sys_from));
       row.push_back(Value(Period::kForever));
       if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
       if (!MatchesConstraints(row, req)) return true;
-      ++stats->rows_output;
-      return cb(row);
+      return sink.Emit(row);
     };
+    ScanSink sink = MakeScanSink(req, stats, &stopped, cb);
+    auto emit_rid = [&](RowId rid) { return visit(rid, sink); };
     std::string index_name;
-    if (t->current_indexes.TryIndexAccess(
-            req, tc, t->current.LiveCount(), &index_name, [&](RowId rid) {
-              if (!t->current.IsLive(rid)) return true;
-              return consider(rid, t->current.Get(rid));
-            })) {
+    if (t->current_indexes.TryIndexAccess(req, tc, t->current.LiveCount(),
+                                          &index_name, emit_rid)) {
       RecordIndexUse(stats, index_name);
       if (req.stats == nullptr) PublishStats(local);
       return;
@@ -481,25 +402,12 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
       }
       if (matched == t->def.primary_key.size() && matched > 0) {
         RecordIndexUse(stats, "pk_current(" + t->def.name + ")");
-        t->pk_current.Lookup(key, [&](RowId rid) {
-          return consider(rid, t->current.Get(rid));
-        });
+        t->pk_current.Lookup(key, emit_rid);
         if (req.stats == nullptr) PublishStats(local);
         return;
       }
     }
-    if (plan.Engage(t->current.SlotCount())) {
-      ParallelScanPartition(
-          plan, t->current.SlotCount(), req.ctx,
-          [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-              MorselOutput* out) {
-            ScanCurrentMorsel(*t, req, tc, now, begin, end, stop, out);
-          },
-          &stats->rows_examined, &stats->rows_output, &stopped, cb);
-    } else {
-      t->current.Scan(
-          [&](RowId rid, const Row& row) { return consider(rid, row); });
-    }
+    ScanSlots(plan, t->current.SlotCount(), sink, visit);
     if (req.stats == nullptr) PublishStats(local);
     return;
   }
@@ -515,35 +423,25 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
     ++stats->partitions_touched;
     stats->touched_history = true;
     const int scan_width = t->stored_schema.num_columns();
-    auto consider_hist = [&](const Row& hist_row) -> bool {
-      if (req.ctx != nullptr && !req.ctx->KeepGoing()) return false;
-      ++stats->rows_examined;
+    auto visit = [&, row = Row()](RowId rid, auto& sink) mutable -> bool {
+      if (!t->history.IsLive(rid)) return true;
+      if (!sink.Examine()) return false;
       // History rows carry extra metadata columns; project to the scan
       // schema.
-      Row row(hist_row.begin(), hist_row.begin() + scan_width);
+      const Row& hist_row = t->history.Get(rid);
+      row.assign(hist_row.begin(), hist_row.begin() + scan_width);
       if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
       if (!MatchesConstraints(row, req)) return true;
-      ++stats->rows_output;
-      return cb(row);
+      return sink.Emit(row);
     };
+    ScanSink sink = MakeScanSink(req, stats, &stopped, cb);
     std::string index_name;
     if (t->history_indexes.TryIndexAccess(
-            req, tc, t->history.LiveCount(), &index_name, [&](RowId rid) {
-              if (!t->history.IsLive(rid)) return true;
-              return consider_hist(t->history.Get(rid));
-            })) {
+            req, tc, t->history.LiveCount(), &index_name,
+            [&](RowId rid) { return visit(rid, sink); })) {
       RecordIndexUse(stats, index_name);
-    } else if (plan.Engage(t->history.SlotCount())) {
-      ParallelScanPartition(
-          plan, t->history.SlotCount(), req.ctx,
-          [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-              MorselOutput* out) {
-            ScanHistoryMorsel(*t, req, tc, now, begin, end, stop, out);
-          },
-          &stats->rows_examined, &stats->rows_output, &stopped, cb);
     } else {
-      t->history.Scan(
-          [&](RowId, const Row& row) { return consider_hist(row); });
+      ScanSlots(plan, t->history.SlotCount(), sink, visit);
     }
   }
   if (req.stats == nullptr) PublishStats(local);

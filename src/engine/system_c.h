@@ -130,18 +130,6 @@ class SystemCEngine : public TemporalEngine {
                      const ParallelScanPlan& plan, ExecStats* stats,
                      bool* stopped, const RowCallback& cb);
 
-  // Morsel-range entry point of the columnar partition scan: filters slots
-  // [begin, end) of `part` into `out`, materializing checked columns before
-  // the predicates and the remaining emit columns after, exactly like the
-  // serial loop. Thread-safe for concurrent morsels (pure column reads;
-  // dictionary interning happens only on Append).
-  void ScanMorsel(const ColumnTable& part, const ScanRequest& req,
-                  const TemporalCols& tc, int64_t now, int ncols,
-                  const std::vector<uint8_t>& checked,
-                  const std::vector<uint8_t>& emit_col, uint64_t begin,
-                  uint64_t end, const std::atomic<bool>& stop,
-                  MorselOutput* out) const;
-
   std::unordered_map<std::string, Table> tables_;
 };
 

@@ -235,61 +235,22 @@ void SystemDEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
   ExecStats* stats = req.stats != nullptr ? req.stats : &local;
   *stats = ExecStats{};
   const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
-  const int64_t now = clock_.Now().micros();
   stats->partitions_touched = 1;
   // No current/history split: any scan sees all versions.
   stats->touched_history = t->def.system_versioned;
 
-  auto consider = [&](const Row& row) -> bool {
-    if (req.ctx != nullptr && !req.ctx->KeepGoing()) return false;
-    ++stats->rows_examined;
-    if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
-    if (!MatchesConstraints(row, req)) return true;
-    ++stats->rows_output;
-    return cb(row);
-  };
-
+  const auto visit =
+      StoredRowVisit(t->data, req, tc, clock_.Now().micros());
+  bool stopped = false;
+  ScanSink sink = MakeScanSink(req, stats, &stopped, cb);
   std::string index_name;
   if (t->indexes.TryIndexAccess(req, tc, t->data.LiveCount(), &index_name,
-                                [&](RowId rid) {
-                                  if (!t->data.IsLive(rid)) return true;
-                                  return consider(t->data.Get(rid));
-                                })) {
+                                [&](RowId rid) { return visit(rid, sink); })) {
     RecordIndexUse(stats, index_name);
   } else {
-    const ParallelScanPlan plan =
-        ResolveScanPlan(req.exec);
-    if (plan.Engage(t->data.SlotCount())) {
-      bool stopped = false;
-      ParallelScanPartition(
-          plan, t->data.SlotCount(), req.ctx,
-          [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-              MorselOutput* out) {
-            ScanMorsel(t->data, req, tc, now, begin, end, stop, out);
-          },
-          &stats->rows_examined, &stats->rows_output, &stopped, cb);
-    } else {
-      t->data.Scan([&](RowId, const Row& row) { return consider(row); });
-    }
+    ScanSlots(ResolveScanPlan(req.exec), t->data.SlotCount(), sink, visit);
   }
   if (req.stats == nullptr) PublishStats(local);
-}
-
-void SystemDEngine::ScanMorsel(const RowTable& part, const ScanRequest& req,
-                               const TemporalCols& tc, int64_t now,
-                               uint64_t begin, uint64_t end,
-                               const std::atomic<bool>& stop,
-                               MorselOutput* out) const {
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!part.IsLive(rid)) continue;
-    ++out->rows_examined;
-    const Row& row = part.Get(rid);
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(row);
-    out->examined_at.push_back(out->rows_examined);
-  }
 }
 
 std::vector<std::string> SystemDEngine::ListTables() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 namespace bih {
 
@@ -34,18 +35,44 @@ void SetDefaultScanThreads(int threads) {
                           std::memory_order_relaxed);
 }
 
-// The shared state of one parallel partition scan. Owned jointly (via
-// shared_ptr) by the coordinator and the scheduler's job board, so a helper
-// that raced with teardown still holds valid memory while it observes the
-// stop flag.
+// The shared state of one parallel run (a partition scan or an operator
+// fan-out). Owned jointly (via shared_ptr) by the coordinator and the
+// scheduler's job board, so a helper that raced with teardown still holds
+// valid memory while it observes the stop flag.
 struct ParallelJob {
-  MorselScanFn body;
-  uint64_t slot_count = 0;
-  uint64_t morsel_size = 0;
-  uint64_t num_morsels = 0;
-  QueryContext* ctx = nullptr;  // borrowed; workers only read cancel flag
+  ParallelJob(const ParallelScanPlan& plan, uint64_t items, QueryContext* c,
+              MorselRunFn fn)
+      : body(std::move(fn)),
+        item_count(items),
+        morsel_size(plan.morsel_size),
+        num_morsels(PlanMorselCount(plan, items)),
+        ctx(c),
+        helper_slots(plan.threads - 1),
+        done(new std::atomic<bool>[num_morsels]) {
+    for (uint64_t m = 0; m < num_morsels; ++m) {
+      done[m].store(false, std::memory_order_relaxed);
+    }
+  }
 
-  // Work claiming: morsel m covers slots [m*morsel_size, ...). A morsel is
+  // Runs morsel `m` and publishes it. Release pairs with the coordinator's
+  // acquire load in Done: once it sees done[m], everything the body wrote
+  // for the morsel is visible.
+  void Run(uint64_t m) {
+    const uint64_t begin = m * morsel_size;
+    body(m, begin, std::min(begin + morsel_size, item_count), interrupt);
+    done[m].store(true, std::memory_order_release);
+  }
+  bool Done(uint64_t m) const {
+    return done[m].load(std::memory_order_acquire);
+  }
+
+  const MorselRunFn body;
+  const uint64_t item_count;
+  const uint64_t morsel_size;
+  const uint64_t num_morsels;
+  QueryContext* const ctx;  // borrowed; workers only read the cancel flag
+
+  // Work claiming: morsel m covers items [m*morsel_size, ...). A morsel is
   // claimed by whoever fetch_adds `next` to its index first.
   std::atomic<uint64_t> next{0};
 
@@ -53,19 +80,19 @@ struct ParallelJob {
   // the fence helpers re-check (seq_cst) before each claim so a helper that
   // wakes late never runs `body` after the coordinator moved on.
   std::atomic<bool> stop{false};
+  const MorselStop interrupt{stop, ctx};  // what bodies poll
 
   // How many helpers may still join (threads - 1 at launch); decremented by
   // CAS when a helper signs on, so a 2-thread scan on an 8-thread pool gets
   // exactly one helper.
-  std::atomic<int> helper_slots{0};
+  std::atomic<int> helper_slots;
 
   // Helpers currently inside RunMorsels. Retire spins until it reaches
   // zero; the seq_cst increment/stop-check pair makes that spin sufficient
   // for the coordinator to reuse/destroy everything `body` captures.
   std::atomic<int> helpers_active{0};
 
-  std::vector<MorselOutput> outputs;
-  std::unique_ptr<std::atomic<bool>[]> done;  // per-morsel publication flag
+  const std::unique_ptr<std::atomic<bool>[]> done;  // per-morsel flag
 };
 
 namespace {
@@ -76,13 +103,60 @@ void RunMorsels(ParallelJob* job) {
   while (!job->stop.load(std::memory_order_seq_cst)) {
     const uint64_t m = job->next.fetch_add(1, std::memory_order_relaxed);
     if (m >= job->num_morsels) return;
-    const uint64_t begin = m * job->morsel_size;
-    const uint64_t end = std::min(begin + job->morsel_size, job->slot_count);
-    job->body(begin, end, job->stop, &job->outputs[m]);
-    // Release pairs with the coordinator's acquire load: once it sees
-    // done[m], the morsel's rows and counters are fully visible.
-    job->done[m].store(true, std::memory_order_release);
+    job->Run(m);
   }
+}
+
+// Posts a job for `body` over [0, item_count) on the plan's pool.
+std::shared_ptr<ParallelJob> LaunchJob(const ParallelScanPlan& plan,
+                                       uint64_t item_count, QueryContext* ctx,
+                                       MorselRunFn body) {
+  auto job =
+      std::make_shared<ParallelJob>(plan, item_count, ctx, std::move(body));
+  plan.scheduler->Launch(job);
+  return job;
+}
+
+// The coordinator's deadline check, the parallel analogue of the serial
+// loops' periodic clock sampling.
+bool Tripped(QueryContext* ctx) {
+  return ctx != nullptr && !ctx->CheckNow().ok();
+}
+
+// Waits for the helper that claimed morsel `m`; false if `ctx` tripped
+// first.
+bool AwaitMorsel(const ParallelJob& job, uint64_t m) {
+  while (!job.Done(m)) {
+    if (Tripped(job.ctx)) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Qualifying rows of one scan morsel, in slot order (see MorselSink).
+struct MorselOutput {
+  std::vector<Row> rows;
+  std::vector<uint64_t> examined_at;
+  uint64_t rows_examined = 0;
+};
+
+// Emits one finished morsel through `sink`; false when the scan must stop.
+bool EmitMorsel(MorselOutput* out, ScanSink& sink) {
+  for (size_t j = 0; j < out->rows.size(); ++j) {
+    // Same per-emitted-row discipline as the serial loop.
+    if (sink.ctx != nullptr && !sink.ctx->KeepGoing()) return false;
+    if (!sink.Emit(out->rows[j])) {
+      // The serial scan would have stopped mid-morsel: count exactly the
+      // rows it would have examined up to this emission.
+      *sink.rows_examined += out->examined_at[j];
+      return false;
+    }
+  }
+  *sink.rows_examined += out->rows_examined;
+  // Free emitted buffers eagerly; a wide scan should hold at most the
+  // in-flight morsels, not the whole result set twice.
+  *out = MorselOutput{};
+  return true;
 }
 
 }  // namespace
@@ -121,7 +195,7 @@ void ScanScheduler::Launch(const std::shared_ptr<ParallelJob>& job) {
 }
 
 void ScanScheduler::Retire(const std::shared_ptr<ParallelJob>& job) {
-  // The coordinator set job->stop before calling; make that unconditional.
+  // Raise the stop flag: no helper starts another morsel of this job.
   job->stop.store(true, std::memory_order_seq_cst);
   {
     MutexLock lock(mu_);
@@ -187,146 +261,72 @@ ParallelScanPlan ResolveScanPlan(int requested_threads,
   return plan;
 }
 
-void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
-                           QueryContext* ctx, const MorselScanFn& body,
-                           uint64_t* rows_examined, uint64_t* rows_output,
-                           bool* stopped,
-                           const std::function<bool(const Row&)>& emit) {
-  auto job = std::make_shared<ParallelJob>();
-  job->body = body;
-  job->slot_count = slot_count;
-  job->morsel_size = plan.morsel_size;
-  job->num_morsels = (slot_count + plan.morsel_size - 1) / plan.morsel_size;
-  job->ctx = ctx;
-  job->helper_slots.store(plan.threads - 1, std::memory_order_relaxed);
-  job->outputs.resize(job->num_morsels);
-  job->done.reset(new std::atomic<bool>[job->num_morsels]);
-  for (uint64_t m = 0; m < job->num_morsels; ++m) {
-    job->done[m].store(false, std::memory_order_relaxed);
-  }
-  plan.scheduler->Launch(job);
+namespace parallel_internal {
 
-  bool tripped = false;    // QueryContext said stop (deadline/cancel)
-  bool emit_stop = false;  // the consumer said stop (Top-N)
-  uint64_t cursor = 0;     // next morsel to emit, in order
-  while (cursor < job->num_morsels) {
-    if (!job->done[cursor].load(std::memory_order_acquire)) {
+void ScanMorsels(
+    const ParallelScanPlan& plan, uint64_t slot_count,
+    const std::function<void(uint64_t begin, uint64_t end, MorselSink& out)>&
+        scan,
+    ScanSink& sink) {
+  std::vector<MorselOutput> outputs(PlanMorselCount(plan, slot_count));
+  const std::shared_ptr<ParallelJob> job = LaunchJob(
+      plan, slot_count, sink.ctx,
+      [&outputs, &scan](uint64_t m, uint64_t begin, uint64_t end,
+                        const MorselStop& stop) {
+        MorselOutput& out = outputs[m];
+        MorselSink morsel(stop, &out.rows, &out.examined_at);
+        scan(begin, end, morsel);
+        out.rows_examined = morsel.rows_examined();
+      });
+
+  bool stopped = false;  // the context tripped or the consumer said stop
+  uint64_t cursor = 0;   // next morsel to emit, in order
+  while (!stopped && cursor < job->num_morsels) {
+    if (!job->Done(cursor)) {
       // The in-order morsel is not ready: be useful, claim one ourselves.
       const uint64_t m = job->next.fetch_add(1, std::memory_order_relaxed);
       if (m < job->num_morsels) {
-        const uint64_t begin = m * job->morsel_size;
-        const uint64_t end =
-            std::min(begin + job->morsel_size, job->slot_count);
-        job->body(begin, end, job->stop, &job->outputs[m]);
-        job->done[m].store(true, std::memory_order_release);
-        // Per-morsel deadline check, the parallel analogue of the serial
-        // loops' periodic clock sampling.
-        if (ctx != nullptr && !ctx->CheckNow().ok()) {
-          tripped = true;
-          break;
-        }
+        job->Run(m);
+        stopped = Tripped(sink.ctx);
         continue;
       }
       // All morsels claimed; wait for the helper that owns `cursor`.
-      bool wait_tripped = false;
-      while (!job->done[cursor].load(std::memory_order_acquire)) {
-        if (ctx != nullptr && !ctx->CheckNow().ok()) {
-          wait_tripped = true;
-          break;
-        }
-        std::this_thread::yield();
-      }
-      if (wait_tripped) {
-        tripped = true;
-        break;
+      if (!AwaitMorsel(*job, cursor)) {
+        stopped = true;
+        continue;
       }
     }
-
     // Per-morsel deadline check on the emit path too: when helpers outpace
     // the coordinator the claim branch above never runs, and the per-row
     // KeepGoing alone would defer an expired deadline for a full clock
     // interval's worth of rows.
-    if (ctx != nullptr && !ctx->CheckNow().ok()) {
-      tripped = true;
-      break;
-    }
-
-    MorselOutput& out = job->outputs[cursor];
-    for (size_t j = 0; j < out.rows.size(); ++j) {
-      // Same per-emitted-row discipline as the serial loops.
-      if (ctx != nullptr && !ctx->KeepGoing()) {
-        tripped = true;
-        break;
-      }
-      ++*rows_output;
-      if (!emit(out.rows[j])) {
-        emit_stop = true;
-        // The serial scan would have stopped mid-morsel: count exactly the
-        // rows it would have examined up to this emission.
-        *rows_examined += out.examined_at[j];
-        break;
-      }
-    }
-    if (tripped || emit_stop) break;
-    *rows_examined += out.rows_examined;
-    // Free emitted buffers eagerly; a wide scan should hold at most the
-    // in-flight morsels, not the whole result set twice.
-    std::vector<Row>().swap(out.rows);
-    std::vector<uint64_t>().swap(out.examined_at);
+    stopped = Tripped(sink.ctx) || !EmitMorsel(&outputs[cursor], sink);
     ++cursor;
   }
 
-  job->stop.store(true, std::memory_order_seq_cst);
   plan.scheduler->Retire(job);
-  if (tripped || emit_stop) *stopped = true;
+  if (stopped) sink.Stop();
 }
+
+}  // namespace parallel_internal
 
 bool ParallelMorselRun(const ParallelScanPlan& plan, uint64_t item_count,
                        QueryContext* ctx, const MorselRunFn& body) {
-  auto job = std::make_shared<ParallelJob>();
-  const uint64_t morsel = plan.morsel_size;
-  job->body = [&body, morsel](uint64_t begin, uint64_t end,
-                              const std::atomic<bool>& stop,
-                              MorselOutput* out) {
-    (void)out;  // results go to caller-owned per-morsel slots
-    body(begin / morsel, begin, end, stop);
-  };
-  job->slot_count = item_count;
-  job->morsel_size = morsel;
-  job->num_morsels = PlanMorselCount(plan, item_count);
-  job->ctx = ctx;
-  job->helper_slots.store(plan.threads - 1, std::memory_order_relaxed);
-  job->outputs.resize(job->num_morsels);
-  job->done.reset(new std::atomic<bool>[job->num_morsels]);
-  for (uint64_t m = 0; m < job->num_morsels; ++m) {
-    job->done[m].store(false, std::memory_order_relaxed);
-  }
-  plan.scheduler->Launch(job);
-
+  const std::shared_ptr<ParallelJob> job =
+      LaunchJob(plan, item_count, ctx, body);
   bool tripped = false;
-  // Coordinator participates: claim and run morsels like a helper, with the
-  // per-morsel deadline check the serial loops express as clock sampling.
+  // Coordinator participates: claim and run morsels like a helper, with a
+  // deadline check per morsel.
   while (!tripped) {
     const uint64_t m = job->next.fetch_add(1, std::memory_order_relaxed);
     if (m >= job->num_morsels) break;
-    const uint64_t begin = m * morsel;
-    const uint64_t end = std::min(begin + morsel, item_count);
-    body(m, begin, end, job->stop);
-    job->done[m].store(true, std::memory_order_release);
-    if (ctx != nullptr && !ctx->CheckNow().ok()) tripped = true;
+    job->Run(m);
+    tripped = Tripped(ctx);
   }
   // Wait for helpers to finish the morsels they claimed.
   for (uint64_t m = 0; m < job->num_morsels && !tripped; ++m) {
-    while (!job->done[m].load(std::memory_order_acquire)) {
-      if (ctx != nullptr && !ctx->CheckNow().ok()) {
-        tripped = true;
-        break;
-      }
-      std::this_thread::yield();
-    }
+    tripped = !AwaitMorsel(*job, m);
   }
-
-  job->stop.store(true, std::memory_order_seq_cst);
   plan.scheduler->Retire(job);
   return !tripped;
 }

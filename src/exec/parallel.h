@@ -21,8 +21,9 @@ namespace bih {
 //
 // Shape: a partition of N slots is cut into fixed-size row-id ranges
 // ("morsels"). Workers claim morsels with one atomic fetch_add, run the
-// engine's existing per-row temporal/predicate filters over their range and
-// park the qualifying rows in a per-morsel buffer. The coordinating query
+// engine's per-row scan body (the same one its serial loop and index access
+// run; see ScanSlots) over their range and park the qualifying rows in a
+// per-morsel buffer. The coordinating query
 // thread participates too (so a scan makes progress even when every helper
 // is busy elsewhere) and *emits* buffers strictly in morsel order — slot
 // order inside a morsel is preserved by construction, so the merged output
@@ -49,32 +50,23 @@ int DefaultScanThreads();
 // scaling sweeps.
 void SetDefaultScanThreads(int threads);
 
-// Qualifying rows of one morsel, in slot order. `examined_at[j]` is the
-// number of rows the morsel had examined when rows[j] was produced, so a
-// consumer that stops at rows[j] can reconstruct the exact rows_examined
-// count the serial scan would have reported at that point.
-struct MorselOutput {
-  std::vector<Row> rows;
-  std::vector<uint64_t> examined_at;
-  uint64_t rows_examined = 0;
-};
-
-// Scans slots [begin, end) of a partition, appending qualifying rows to
-// `out`. Must poll `stop` (and its QueryContext, if any) between rows and
-// return early when either trips; partial output of an interrupted morsel
-// is discarded by the coordinator, never emitted.
-using MorselScanFn = std::function<void(
-    uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-    MorselOutput* out)>;
-
-// Per-row interruption poll for morsel bodies: the job's stop flag (set on
+// Interruption poll for morsel bodies: the job's stop flag (raised on
 // coordinator early-exit and teardown) or an external Cancel() on the
 // query's context (the watchdog path). Both are relaxed atomic loads.
-inline bool MorselInterrupted(const std::atomic<bool>& stop,
-                              const QueryContext* ctx) {
-  return stop.load(std::memory_order_relaxed) ||
-         (ctx != nullptr && ctx->cancel_requested());
-}
+class MorselStop {
+ public:
+  MorselStop(const std::atomic<bool>& flag, const QueryContext* ctx)
+      : flag_(flag), ctx_(ctx) {}
+
+  bool Interrupted() const {
+    return flag_.load(std::memory_order_relaxed) ||
+           (ctx_ != nullptr && ctx_->cancel_requested());
+  }
+
+ private:
+  const std::atomic<bool>& flag_;
+  const QueryContext* ctx_;
+};
 
 struct ParallelJob;
 
@@ -105,7 +97,7 @@ class ScanScheduler {
   // helper threads live for the process, like the engines' commit clock.
   static ScanScheduler* Default();
 
-  // Internal job-board protocol, used by ParallelScanPartition.
+  // Internal job-board protocol, used by ScanSlots and ParallelMorselRun.
   void Launch(const std::shared_ptr<ParallelJob>& job);
   void Retire(const std::shared_ptr<ParallelJob>& job);
 
@@ -153,21 +145,6 @@ inline ParallelScanPlan ResolveScanPlan(const ExecOptions& opts) {
   return ResolveScanPlan(opts.scan_threads, opts.scheduler, opts.morsel_size);
 }
 
-// Runs `body` over every morsel of a `slot_count`-slot partition using the
-// plan's pool, emitting qualifying rows through `emit` in exact serial
-// order. Counters accumulate into *rows_examined / *rows_output with the
-// same values the serial loop would produce, including when `emit` returns
-// false (Top-N early stop) or `ctx` trips mid-scan; *stopped is set (never
-// cleared) when the scan ended early for either reason. The coordinator
-// checks `ctx` per claimed morsel and per emitted row; workers poll the
-// job's stop flag and the context's cancel flag per row. On return, no
-// worker is still touching this scan's state.
-void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
-                           QueryContext* ctx, const MorselScanFn& body,
-                           uint64_t* rows_examined, uint64_t* rows_output,
-                           bool* stopped,
-                           const std::function<bool(const Row&)>& emit);
-
 // How many morsels the plan cuts an `item_count`-item range into. Callers
 // of ParallelMorselRun size their per-morsel result slots with this before
 // launching, so each worker writes only its own slot.
@@ -179,22 +156,134 @@ inline uint64_t PlanMorselCount(const ParallelScanPlan& plan,
 // One morsel of a generic parallel operator (join run-emission, partial
 // aggregation): `m` is the morsel index, [begin, end) the item range. The
 // body typically writes a caller-owned slot indexed by `m`; no two
-// invocations share a morsel index. Long-running bodies should poll `stop`
-// via MorselInterrupted and bail early.
+// invocations share a morsel index. Long-running bodies should poll
+// `stop.Interrupted()` and bail early.
 using MorselRunFn = std::function<void(uint64_t m, uint64_t begin,
-                                       uint64_t end,
-                                       const std::atomic<bool>& stop)>;
+                                       uint64_t end, const MorselStop& stop)>;
 
 // Generic morsel fan-out for operators above the scan: runs `body` over
 // every morsel of [0, item_count) on the plan's pool, the coordinator
-// participating like in ParallelScanPartition. Returns true when every
-// morsel completed; false when `ctx` tripped first (per-morsel CheckNow on
-// the coordinator), in which case some slots may be unwritten and the
-// caller must discard the output. Either way no worker is still touching
-// the caller's slots on return (the scheduler drain in Retire provides the
+// participating like in ScanSlots. Returns true when every morsel
+// completed; false when `ctx` tripped first (per-morsel CheckNow on the
+// coordinator), in which case some slots may be unwritten and the caller
+// must discard the output. Either way no worker is still touching the
+// caller's slots on return (the scheduler drain in Retire provides the
 // happens-before edge for the coordinator's subsequent merge).
 bool ParallelMorselRun(const ParallelScanPlan& plan, uint64_t item_count,
                        QueryContext* ctx, const MorselRunFn& body);
+
+// ---- Partition scans: one per-row body per access path ----------------
+//
+// An engine writes the per-row logic of each access path once, as a
+// callable `bool visit(uint64_t rid, auto& sink)` that is generic over the
+// sink:
+//
+//   if (!part.IsLive(rid)) return true;  // dead slot: not examined
+//   if (!sink.Examine()) return false;   // interruption poll + count
+//   ... build `row`; return true if a temporal or residual filter fails ...
+//   return sink.Emit(row);               // false: the scan must stop
+//
+// Index access calls the body once per candidate row id with a ScanSink;
+// ScanSlots drives it over every slot of a partition, serially or
+// morsel-parallel. The body must be safe to run on distinct slots
+// concurrently (pure reads). ScanSlots copies it once per morsel, so it may
+// carry mutable scratch state, e.g. a reusable row buffer.
+
+// The sink of index access and of the serial scan: polls the query context
+// per examined row, counts into the scan's counters and hands each row
+// straight to `cb`, without a copy. `*stopped` is set (never cleared) when
+// the scan ends early, on a tripped context or on `cb` returning false.
+struct ScanSink {
+  QueryContext* ctx;
+  uint64_t* rows_examined;
+  uint64_t* rows_output;
+  bool* stopped;
+  const std::function<bool(const Row&)>& cb;
+
+  bool Examine() {
+    if (ctx != nullptr && !ctx->KeepGoing()) return Stop();
+    ++*rows_examined;
+    return true;
+  }
+  bool Emit(const Row& row) {
+    ++*rows_output;
+    return cb(row) || Stop();
+  }
+  bool Stop() {
+    *stopped = true;
+    return false;
+  }
+};
+
+// The sink of one morsel on the parallel path: buffers the qualifying rows
+// in slot order, each with the number of rows the morsel had examined when
+// it was produced, so the coordinator can emit morsels in order and, when
+// the consumer stops at some row, report the exact rows_examined the serial
+// scan would have.
+class MorselSink {
+ public:
+  MorselSink(const MorselStop& stop, std::vector<Row>* rows,
+             std::vector<uint64_t>* examined_at)
+      : stop_(stop), rows_(rows), examined_at_(examined_at) {}
+
+  bool Examine() {
+    if (stop_.Interrupted()) return false;
+    ++rows_examined_;
+    return true;
+  }
+  bool Emit(const Row& row) {
+    rows_->push_back(row);
+    examined_at_->push_back(rows_examined_);
+    return true;
+  }
+  uint64_t rows_examined() const { return rows_examined_; }
+
+ private:
+  const MorselStop& stop_;
+  std::vector<Row>* rows_;
+  std::vector<uint64_t>* examined_at_;
+  uint64_t rows_examined_ = 0;
+};
+
+namespace parallel_internal {
+
+// The morsel-parallel leg of ScanSlots: runs `scan` over every morsel of a
+// `slot_count`-slot partition on the plan's pool and emits the buffered
+// rows through `sink` in exact serial order. The coordinator checks the
+// context per claimed morsel and per emitted row; on return no worker is
+// still touching this scan's state.
+void ScanMorsels(
+    const ParallelScanPlan& plan, uint64_t slot_count,
+    const std::function<void(uint64_t begin, uint64_t end, MorselSink& out)>&
+        scan,
+    ScanSink& sink);
+
+}  // namespace parallel_internal
+
+// Runs `visit` over slots [0, slot_count) into `sink`. Serial unless the
+// plan engages for this many slots; either way the rows reach `sink.cb` in
+// slot order and the counters and `*sink.stopped` end up exactly as the
+// serial loop leaves them, including under Top-N early stop and a tripped
+// context.
+template <typename Visit>
+void ScanSlots(const ParallelScanPlan& plan, uint64_t slot_count,
+               ScanSink& sink, Visit visit) {
+  if (plan.Engage(slot_count)) {
+    parallel_internal::ScanMorsels(
+        plan, slot_count,
+        [&visit](uint64_t begin, uint64_t end, MorselSink& out) {
+          Visit local = visit;  // per-morsel scratch state
+          for (uint64_t rid = begin; rid < end; ++rid) {
+            if (!local(rid, out)) return;
+          }
+        },
+        sink);
+    return;
+  }
+  for (uint64_t rid = 0; rid < slot_count; ++rid) {
+    if (!visit(rid, sink)) return;
+  }
+}
 
 }  // namespace bih
 

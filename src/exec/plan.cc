@@ -287,7 +287,7 @@ void SortOrderByKeys(std::vector<uint64_t>* order, const Rows& rows,
   if (chunked.morsel_size == 0) chunked.morsel_size = 1;
   if (!ParallelMorselRun(chunked, n, ctx,
                          [&](uint64_t, uint64_t begin, uint64_t end,
-                             const std::atomic<bool>&) {
+                             const MorselStop&) {
                            std::sort(order->begin() + begin,
                                      order->begin() + end, less);
                          })) {
@@ -313,7 +313,7 @@ void SortOrderByKeys(std::vector<uint64_t>* order, const Rows& rows,
     level.morsel_size = 1;  // one merge per morsel
     if (!ParallelMorselRun(level, heads.size(), ctx,
                            [&](uint64_t, uint64_t begin, uint64_t end,
-                               const std::atomic<bool>&) {
+                               const MorselStop&) {
                              for (uint64_t p = begin; p < end; ++p) {
                                merge_pair(heads[p]);
                              }
@@ -334,16 +334,15 @@ void MergeJoinEmitRuns(const Rows& left, const Rows& right,
                        const std::vector<uint64_t>& rorder,
                        const std::vector<int>& left_keys,
                        const std::vector<int>& right_keys,
-                       const ExprPtr& residual, QueryContext* ctx,
-                       uint64_t begin, uint64_t end,
-                       const std::atomic<bool>& stop, Rows* out) {
+                       const ExprPtr& residual, uint64_t begin,
+                       uint64_t end, const MorselStop& stop, Rows* out) {
   auto same_left_key = [&](uint64_t a, uint64_t b) {
     return CompareKeyCols(left[lorder[a]], left_keys, left[lorder[b]],
                           left_keys) == 0;
   };
   for (uint64_t p = begin; p < end; ++p) {
     if (p > 0 && same_left_key(p, p - 1)) continue;  // not a run head
-    if (MorselInterrupted(stop, ctx)) return;
+    if (stop.Interrupted()) return;
     const Row& head = left[lorder[p]];
     bool null_key = false;
     for (int k : left_keys) {
@@ -362,7 +361,7 @@ void MergeJoinEmitRuns(const Rows& left, const Rows& right,
           return CompareKeyCols(h, left_keys, right[r], right_keys) < 0;
         });
     for (uint64_t i = p; i < lend; ++i) {
-      if (MorselInterrupted(stop, ctx)) return;
+      if (stop.Interrupted()) return;
       for (auto rit = rlow; rit != rhigh; ++rit) {
         Row joined = left[lorder[i]];
         const Row& r = right[*rit];
@@ -393,22 +392,21 @@ Rows MergeJoinKernel(const Rows& left, const Rows& right,
   if (*interrupted) return {};
 
   const uint64_t n = lorder.size();
-  std::atomic<bool> no_stop{false};
   if (!plan.Engage(n)) {
     Rows out;
+    const std::atomic<bool> no_stop{false};
     MergeJoinEmitRuns(left, right, lorder, rorder, left_keys, right_keys,
-                      residual, ctx, 0, n, no_stop, &out);
+                      residual, 0, n, MorselStop(no_stop, ctx), &out);
     if (ctx != nullptr && !ctx->status().ok()) *interrupted = true;
     return out;
   }
   std::vector<Rows> buffers(PlanMorselCount(plan, n));
   if (!ParallelMorselRun(plan, n, ctx,
                          [&](uint64_t m, uint64_t begin, uint64_t end,
-                             const std::atomic<bool>& stop) {
+                             const MorselStop& stop) {
                            MergeJoinEmitRuns(left, right, lorder, rorder,
                                              left_keys, right_keys, residual,
-                                             ctx, begin, end, stop,
-                                             &buffers[m]);
+                                             begin, end, stop, &buffers[m]);
                          })) {
     *interrupted = true;
     return {};
@@ -553,10 +551,10 @@ Rows ParallelAggregateKernel(const Rows& in,
   if (!ParallelMorselRun(
           plan, in.size(), ctx,
           [&](uint64_t m, uint64_t begin, uint64_t end,
-              const std::atomic<bool>& stop) {
+              const MorselStop& stop) {
             MorselGroups& mg = partials[m];
             for (uint64_t r = begin; r < end; ++r) {
-              if (MorselInterrupted(stop, ctx)) return;
+              if (stop.Interrupted()) return;
               const Row& row = in[r];
               Row key = KeyOf(row, group_cols);
               auto it = mg.index.find(key);

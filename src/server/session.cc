@@ -130,8 +130,32 @@ Status SessionManager::Read(ScanRequest req, QueryContext* ctx,
 Status SessionManager::ReadAt(Snapshot snap, ScanRequest req,
                               QueryContext* ctx, std::vector<Row>* out) {
   out->clear();
-  Status s = DoRead(snap, req, ctx, out);
-  AccountRead(s);
+  Status s = ReadTxn(ctx, [&](TemporalEngine& engine) {
+    req.temporal.system_time =
+        ClampToWatermark(req.temporal.system_time, snap.watermark);
+    req.ctx = ctx;
+    // Intra-query parallelism: reads that do not choose a width inherit
+    // the manager's; workers run strictly within this shared-lock scope
+    // (the scan drains its morsels before returning), so parallel reads
+    // see the same pinned snapshot as serial ones.
+    req.exec = MergeExecOptions(req.exec, exec_options());
+    ExecStats stats;  // keep concurrent scans off the shared stats slot
+    req.stats = &stats;
+    engine.Scan(req, [&](const Row& row) {
+      out->push_back(row);
+      // A version still open at the snapshot may have been closed by a
+      // later write before this scan ran; its stored SYS_TIME_END is then
+      // past the watermark. Rewriting it to forever makes reads against
+      // the same snapshot byte-identical no matter how writes interleave.
+      Row& r = out->back();
+      if (!r.empty() && r.back().is_int() &&
+          r.back().AsInt() > snap.watermark) {
+        r.back() = Value(Period::kForever);
+      }
+      return true;
+    });
+    return Status::OK();  // an interruption is reported by DoReadTxn
+  });
   if (!s.ok()) out->clear();
   return s;
 }
@@ -172,57 +196,6 @@ bool SessionManager::PollLockShared(QueryContext* ctx, Status* why) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   return true;
-}
-
-Status SessionManager::DoRead(Snapshot snap, ScanRequest& req,
-                              QueryContext* ctx, std::vector<Row>* out) {
-  if (ctx != nullptr) {
-    Status s = ctx->CheckNow();
-    if (!s.ok()) return s;
-  }
-  Status admitted = admission_.Admit(ctx);
-  if (!admitted.ok()) return admitted;
-
-  if (ctx != nullptr) {
-    MutexLock reg(inflight_mu_);
-    inflight_.insert(ctx);
-  }
-
-  Status result = Status::OK();
-  if (PollLockShared(ctx, &result)) {
-    req.temporal.system_time =
-        ClampToWatermark(req.temporal.system_time, snap.watermark);
-    req.ctx = ctx;
-    // Intra-query parallelism: reads that do not choose a width inherit
-    // the manager's; workers run strictly within this shared-lock scope
-    // (the scan drains its morsels before returning), so parallel reads
-    // see the same pinned snapshot as serial ones.
-    req.exec = MergeExecOptions(req.exec, exec_options());
-    ExecStats stats;  // keep concurrent scans off the shared stats slot
-    req.stats = &stats;
-    engine_->Scan(req, [&](const Row& row) {
-      out->push_back(row);
-      // A version still open at the snapshot may have been closed by a
-      // later write before this scan ran; its stored SYS_TIME_END is then
-      // past the watermark. Rewriting it to forever makes reads against
-      // the same snapshot byte-identical no matter how writes interleave.
-      Row& r = out->back();
-      if (!r.empty() && r.back().is_int() &&
-          r.back().AsInt() > snap.watermark) {
-        r.back() = Value(Period::kForever);
-      }
-      return true;
-    });
-    if (ctx != nullptr) result = ctx->status();
-    rw_mu_.unlock_shared();
-  }
-
-  if (ctx != nullptr) {
-    MutexLock reg(inflight_mu_);
-    inflight_.erase(ctx);
-  }
-  admission_.Release();
-  return result;
 }
 
 Status SessionManager::DoReadTxn(

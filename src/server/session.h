@@ -260,8 +260,6 @@ class SessionManager {
   // bih-analyze: releases(shard_mu_)
   void UnlockShards(int shard) NO_THREAD_SAFETY_ANALYSIS;
 
-  Status DoRead(Snapshot snap, ScanRequest& req, QueryContext* ctx,
-                std::vector<Row>* out);
   Status DoReadTxn(QueryContext* ctx,
                    const std::function<Status(TemporalEngine&)>& fn);
   // Folds one finished read's outcome into the per-code counters.

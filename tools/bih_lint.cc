@@ -16,9 +16,11 @@
 //                       NDEBUG builds would silently skip the mutation
 //   scan-ctx            engine scan loops (Scan* functions in
 //                       src/engine/system_*.cc) must poll the QueryContext
-//                       (KeepGoing/CheckNow/MorselInterrupted) or delegate to
-//                       a scan helper that does, so deadline/cancel stay
-//                       responsive at any data size
+//                       (KeepGoing/CheckNow), run their per-row body through
+//                       the shared ScanSlots driver (whose sinks poll per
+//                       examined row) or delegate to a scan helper that
+//                       does, so deadline/cancel stay responsive at any
+//                       data size
 //   raw-io              no direct fflush/fsync/fdatasync calls outside
 //                       src/durability/ — the sanctioned sync sites there
 //                       carry the BIH_NO_FSYNC gate, EINTR retries and the
@@ -496,8 +498,8 @@ void CheckScanCtx(const FileText& f, std::vector<Finding>* out) {
       }
     }
     if (!takes_request) continue;
-    // Walk the brace-matched body and look for a context poll or a
-    // delegation to another Scan*/ParallelScanPartition call.
+    // Walk the brace-matched body and look for a context poll, a call of
+    // the ScanSlots driver or a delegation to another Scan* call.
     int depth = 0;
     bool entered = false;
     bool ok = false;
@@ -515,8 +517,7 @@ void CheckScanCtx(const FileText& f, std::vector<Finding>* out) {
         const std::string& b = f.code[k];
         if (b.find("KeepGoing(") != std::string::npos ||
             b.find("CheckNow(") != std::string::npos ||
-            b.find("MorselInterrupted(") != std::string::npos ||
-            b.find("ParallelScanPartition(") != std::string::npos) {
+            b.find("ScanSlots(") != std::string::npos) {
           ok = true;
         }
         // Delegation: a call (not definition) of another Scan* function.
@@ -537,8 +538,8 @@ void CheckScanCtx(const FileText& f, std::vector<Finding>* out) {
     if (!ok && !Suppressed(f, i, "scan-ctx")) {
       out->push_back({f.path, i + 1, "scan-ctx",
                       "engine scan function does not poll the QueryContext "
-                      "(KeepGoing/CheckNow/MorselInterrupted) or delegate to "
-                      "a scan helper; long scans must stay cancellable"});
+                      "(KeepGoing/CheckNow), run ScanSlots or delegate to a "
+                      "scan helper; long scans must stay cancellable"});
     }
     i = end_line;  // resume after this function body
   }
