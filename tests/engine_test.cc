@@ -437,6 +437,92 @@ TEST_P(EngineTest, ArityMismatchRejected) {
   EXPECT_EQ(Status::Code::kInvalidArgument, st.code());
 }
 
+// Every statement entry point resolves its table first. (BulkLoad is left
+// out: the native engines reject it before looking at the table.)
+TEST_P(EngineTest, DmlOnUnknownTableIsNotFound) {
+  const std::vector<Value> key{Value(int64_t{1})};
+  const std::vector<ColumnAssignment> set{{2, Value(1.0)}};
+  const Period p(15, 25);
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->Insert("NOPE", Account(1, "a", 1.0, 0, 9)).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->UpdateCurrent("NOPE", key, set).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->UpdateSequenced("NOPE", key, 0, p, set).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->UpdateOverwrite("NOPE", key, 0, p, set).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->DeleteCurrent("NOPE", key).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->DeleteSequenced("NOPE", key, 0, p).code());
+}
+
+TEST_P(EngineTest, MissingKeyIsNotFoundAndChangesNothing) {
+  ASSERT_TRUE(engine_->Insert("ACCOUNT", Account(1, "ann", 100.0, 10, 30)).ok());
+  TemporalScanSpec all;
+  all.system_time = TemporalSelector::All();
+  const Rows before = ScanWith(all);
+  const std::vector<Value> key{Value(int64_t{42})};
+  const std::vector<ColumnAssignment> set{{2, Value(1.0)}};
+  const Period p(15, 25);
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->UpdateCurrent("ACCOUNT", key, set).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->UpdateSequenced("ACCOUNT", key, 0, p, set).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->UpdateOverwrite("ACCOUNT", key, 0, p, set).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->DeleteCurrent("ACCOUNT", key).code());
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->DeleteSequenced("ACCOUNT", key, 0, p).code());
+  EXPECT_EQ(before, ScanWith(all));
+}
+
+TEST_P(EngineTest, BadPeriodIndexIsInvalidAndChangesNothing) {
+  ASSERT_TRUE(engine_->Insert("ACCOUNT", Account(1, "ann", 100.0, 10, 30)).ok());
+  TemporalScanSpec all;
+  all.system_time = TemporalSelector::All();
+  const Rows before = ScanWith(all);
+  const std::vector<Value> key{Value(int64_t{1})};
+  const std::vector<ColumnAssignment> set{{2, Value(1.0)}};
+  const Period p(15, 25);
+  const int past_end = static_cast<int>(AccountDef().app_periods.size());
+  for (int bad : {-1, past_end}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(Status::Code::kInvalidArgument,
+              engine_->UpdateSequenced("ACCOUNT", key, bad, p, set).code());
+    EXPECT_EQ(Status::Code::kInvalidArgument,
+              engine_->UpdateOverwrite("ACCOUNT", key, bad, p, set).code());
+    EXPECT_EQ(Status::Code::kInvalidArgument,
+              engine_->DeleteSequenced("ACCOUNT", key, bad, p).code());
+  }
+  EXPECT_EQ(before, ScanWith(all));
+}
+
+// A version opened and closed by the same transaction was never visible, so
+// it must not be versioned: no stored version has an empty system interval.
+TEST_P(EngineTest, SameTransactionChurnIsNotVersioned) {
+  ASSERT_TRUE(engine_->Insert("ACCOUNT", Account(1, "ann", 100.0, 10, 30)).ok());
+  const std::vector<Value> key{Value(int64_t{1})};
+  engine_->Begin();
+  ASSERT_TRUE(engine_->UpdateCurrent("ACCOUNT", key, {{2, Value(1.0)}}).ok());
+  ASSERT_TRUE(engine_->UpdateCurrent("ACCOUNT", key, {{2, Value(2.0)}}).ok());
+  ASSERT_TRUE(engine_->UpdateSequenced("ACCOUNT", key, 0, Period(15, 25),
+                                       {{2, Value(3.0)}})
+                  .ok());
+  ASSERT_TRUE(engine_->Commit().ok());
+  TemporalScanSpec all;
+  all.system_time = TemporalSelector::All();
+  const Rows rows = ScanWith(all);
+  // The inserted version, closed by the transaction, plus its final
+  // [10,15) / [15,25) / [25,30) split.
+  ASSERT_EQ(4u, rows.size());
+  for (const Row& r : rows) {
+    EXPECT_NE(r[kSysFrom].AsInt(), r[kSysTo].AsInt());
+  }
+  EXPECT_EQ(3u, ScanWith(TemporalScanSpec::Current()).size());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
                          ::testing::Values("A", "B", "C", "D"));
 
