@@ -107,9 +107,13 @@ using RowCallback = std::function<bool(const Row&)>;
 // Application-time periods are ordinary user columns per the TableDef.
 //
 // DDL and DML are template methods: the public non-virtual entry points
-// allocate the commit timestamp, dispatch to the per-engine Do* virtuals,
-// and mirror every successful mutation to the attached write-ahead log —
-// so all four architectures gain durability without engine-specific code.
+// allocate the commit timestamp, run the statement, and mirror every
+// successful mutation to the attached write-ahead log — so all four
+// architectures gain durability without engine-specific code. The
+// bitemporal meaning of a DML statement (which versions it closes and which
+// it opens) is likewise written once here; an engine supplies only the
+// physical version primitives of its storage layout (see "Version
+// primitives" below).
 class TemporalEngine {
  public:
   virtual ~TemporalEngine() = default;
@@ -211,7 +215,9 @@ class TemporalEngine {
   }
 
   // --- Query -----------------------------------------------------------
-  virtual void Scan(const ScanRequest& req, const RowCallback& cb) = 0;
+  // Resets the request's counters (req.stats, or a local set published to
+  // last_stats() afterwards) and runs the engine's ScanTable.
+  void Scan(const ScanRequest& req, const RowCallback& cb);
 
   // Counters of the most recently completed Scan that did not redirect them
   // via ScanRequest::stats. Publication is serialized, so concurrent readers
@@ -242,43 +248,60 @@ class TemporalEngine {
   // the stamp chosen by the dispatching wrapper (or, during recovery, the
   // original stamp recorded in the log).
   virtual Status DoCreateTable(const TableDef& def) = 0;
-  virtual Status DoInsert(const std::string& table, Row row) = 0;
   virtual Status DoBulkLoad(const std::string& table, std::vector<Row> rows);
-  virtual Status DoUpdateCurrent(const std::string& table,
-                                 const std::vector<Value>& key,
-                                 const std::vector<ColumnAssignment>& set) = 0;
-  virtual Status DoUpdateSequenced(
-      const std::string& table, const std::vector<Value>& key,
-      int period_index, const Period& period,
-      const std::vector<ColumnAssignment>& set) = 0;
-  virtual Status DoUpdateOverwrite(
-      const std::string& table, const std::vector<Value>& key,
-      int period_index, const Period& period,
-      const std::vector<ColumnAssignment>& set) = 0;
-  virtual Status DoDeleteCurrent(const std::string& table,
-                                 const std::vector<Value>& key) = 0;
-  virtual Status DoDeleteSequenced(const std::string& table,
-                                   const std::vector<Value>& key,
-                                   int period_index, const Period& period) = 0;
   virtual Status DoInstallVersion(const std::string& table,
                                   const Row& stored) = 0;
+  // One table access; counters go to `stats`, already reset by Scan.
+  virtual void ScanTable(const ScanRequest& req, ExecStats* stats,
+                         const RowCallback& cb) = 0;
+
+  // --- Version primitives ----------------------------------------------
+  // What one engine's storage layout contributes to DML. The statement
+  // logic calls them in a fixed order, which fixes the physical slot order
+  // of the versions they write: an UpdateCurrent closes and then opens each
+  // version in turn; a sequenced statement issues all closes, then all
+  // opens.
+
+  // Base of each engine's per-table state.
+  struct TableState {
+    explicit TableState(TableDef d) : def(std::move(d)) {}
+    TableDef def;
+  };
+  // Opaque reference to one current version, valid until the statement
+  // that looked it up ends. Row stores use the RowId; System C packs its
+  // (fragment, rid) location.
+  using VersionRef = uint64_t;
+  // Kind of the statement a close or open belongs to; the values double as
+  // System B's STMT_TYPE metadata.
+  enum class DmlKind : int64_t { kInsert = 0, kUpdate = 1, kDelete = 2 };
+
+  // The table's state, or null when there is no such table.
+  virtual TableState* Find(const std::string& table) = 0;
+  // Appends the current versions of primary key `key` to `out`.
+  virtual void CurrentVersions(TableState* t, const std::vector<Value>& key,
+                               std::vector<VersionRef>* out) = 0;
+  // The user columns of version `v`.
+  virtual Row ReadVersion(TableState* t, VersionRef v) = 0;
+  // Ends version `v`'s system time at `ts`. A version that `ts` itself
+  // opened (same-transaction churn) was never visible: the engine drops it
+  // instead of versioning it.
+  virtual void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
+                            DmlKind kind) = 0;
+  // Stores `user_row` as a current version whose system time starts at
+  // `ts`.
+  virtual void OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                           DmlKind kind) = 0;
+  // Runs once after each successful DML statement.
+  virtual void EndStatement(TableState* /*t*/) {}
 
   // Commit timestamp for the mutation being executed, as allocated by the
   // dispatching wrapper: a fresh tick in auto-commit mode, the transaction
   // stamp inside Begin/Commit, the logged stamp during recovery.
   Timestamp MutationTime() const { return mutation_time_; }
 
-  // Engines call this at the end of a Scan whose request left `stats` null.
-  // The lock only serializes the publication slot; it is never held while
-  // scanning, so concurrent readers contend for nanoseconds per query.
-  void PublishStats(const ExecStats& s) const {
-    MutexLock lock(stats_mu_);
-    stats_ = s;
-  }
-
   // The engine is externally synchronized: every mutation (and so every
   // touch of the transaction state below) runs under the session layer's
-  // exclusive rw_mu_. stats_mu_ exists only for the PublishStats slot,
+  // exclusive rw_mu_. stats_mu_ exists only for the last_stats() slot,
   // which concurrent readers hit; it guards nothing else in this class.
   CommitClock clock_;    // bih-lint: allow(guard-coverage)
   bool in_txn_ = false;  // bih-lint: allow(guard-coverage)
@@ -288,10 +311,23 @@ class TemporalEngine {
   mutable Mutex stats_mu_;
   mutable ExecStats stats_ GUARDED_BY(stats_mu_);
 
-  // Allocates the stamp MutationTime() hands to the Do* layer.
+  // Allocates the stamp MutationTime() hands to the statement logic.
   void AllocateMutationTime() {
     mutation_time_ = in_txn_ ? txn_time_ : clock_.NextCommit();
   }
+  // Statement logic at MutationTime(), shared by the public entry points
+  // and WAL replay. The key-addressed statements are named by their log
+  // record kind: the WAL logs statements, not physical version changes.
+  Status ApplyInsert(const std::string& table, Row row);
+  Status ApplyKeyed(WalRecord::Kind kind, const std::string& table,
+                    const std::vector<Value>& key, int period_index,
+                    const Period& period,
+                    const std::vector<ColumnAssignment>& set);
+  // Allocates the stamp, runs ApplyKeyed and logs the statement.
+  Status LoggedKeyed(WalRecord::Kind kind, const std::string& table,
+                     const std::vector<Value>& key, int period_index,
+                     const Period& period,
+                     const std::vector<ColumnAssignment>& set);
   // Mirrors a successful mutation to the WAL: buffered inside a
   // transaction, appended + flushed immediately in auto-commit mode.
   Status LogMutation(WalRecord rec);

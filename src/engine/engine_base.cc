@@ -70,7 +70,7 @@ Status TemporalEngine::Insert(const std::string& table, Row row) {
     rec.table = table;
     rec.row = row;
   }
-  Status st = DoInsert(table, std::move(row));
+  Status st = ApplyInsert(table, std::move(row));
   if (st.ok() && wal_ != nullptr) {
     BIH_RETURN_IF_ERROR(LogMutation(std::move(rec)));
   }
@@ -95,47 +95,47 @@ Status TemporalEngine::BulkLoad(const std::string& table,
 Status TemporalEngine::UpdateCurrent(const std::string& table,
                                      const std::vector<Value>& key,
                                      const std::vector<ColumnAssignment>& set) {
-  AllocateMutationTime();
-  Status st = DoUpdateCurrent(table, key, set);
-  if (st.ok() && wal_ != nullptr) {
-    WalRecord rec;
-    rec.kind = WalRecord::Kind::kUpdateCurrent;
-    rec.ts = MutationTime().micros();
-    rec.table = table;
-    rec.key = key;
-    rec.set = set;
-    BIH_RETURN_IF_ERROR(LogMutation(std::move(rec)));
-  }
-  return st;
+  return LoggedKeyed(WalRecord::Kind::kUpdateCurrent, table, key, 0, Period(),
+                     set);
 }
 
 Status TemporalEngine::UpdateSequenced(
     const std::string& table, const std::vector<Value>& key, int period_index,
     const Period& period, const std::vector<ColumnAssignment>& set) {
-  AllocateMutationTime();
-  Status st = DoUpdateSequenced(table, key, period_index, period, set);
-  if (st.ok() && wal_ != nullptr) {
-    WalRecord rec;
-    rec.kind = WalRecord::Kind::kUpdateSequenced;
-    rec.ts = MutationTime().micros();
-    rec.table = table;
-    rec.key = key;
-    rec.period_index = period_index;
-    rec.period = period;
-    rec.set = set;
-    BIH_RETURN_IF_ERROR(LogMutation(std::move(rec)));
-  }
-  return st;
+  return LoggedKeyed(WalRecord::Kind::kUpdateSequenced, table, key,
+                     period_index, period, set);
 }
 
 Status TemporalEngine::UpdateOverwrite(
     const std::string& table, const std::vector<Value>& key, int period_index,
     const Period& period, const std::vector<ColumnAssignment>& set) {
+  return LoggedKeyed(WalRecord::Kind::kUpdateOverwrite, table, key,
+                     period_index, period, set);
+}
+
+Status TemporalEngine::DeleteCurrent(const std::string& table,
+                                     const std::vector<Value>& key) {
+  return LoggedKeyed(WalRecord::Kind::kDeleteCurrent, table, key, 0, Period(),
+                     {});
+}
+
+Status TemporalEngine::DeleteSequenced(const std::string& table,
+                                       const std::vector<Value>& key,
+                                       int period_index, const Period& period) {
+  return LoggedKeyed(WalRecord::Kind::kDeleteSequenced, table, key,
+                     period_index, period, {});
+}
+
+Status TemporalEngine::LoggedKeyed(WalRecord::Kind kind,
+                                   const std::string& table,
+                                   const std::vector<Value>& key,
+                                   int period_index, const Period& period,
+                                   const std::vector<ColumnAssignment>& set) {
   AllocateMutationTime();
-  Status st = DoUpdateOverwrite(table, key, period_index, period, set);
+  Status st = ApplyKeyed(kind, table, key, period_index, period, set);
   if (st.ok() && wal_ != nullptr) {
     WalRecord rec;
-    rec.kind = WalRecord::Kind::kUpdateOverwrite;
+    rec.kind = kind;
     rec.ts = MutationTime().micros();
     rec.table = table;
     rec.key = key;
@@ -147,37 +147,73 @@ Status TemporalEngine::UpdateOverwrite(
   return st;
 }
 
-Status TemporalEngine::DeleteCurrent(const std::string& table,
-                                     const std::vector<Value>& key) {
-  AllocateMutationTime();
-  Status st = DoDeleteCurrent(table, key);
-  if (st.ok() && wal_ != nullptr) {
-    WalRecord rec;
-    rec.kind = WalRecord::Kind::kDeleteCurrent;
-    rec.ts = MutationTime().micros();
-    rec.table = table;
-    rec.key = key;
-    BIH_RETURN_IF_ERROR(LogMutation(std::move(rec)));
+Status TemporalEngine::ApplyInsert(const std::string& table, Row row) {
+  TableState* t = Find(table);
+  if (t == nullptr) return Status::NotFound("table " + table);
+  if (static_cast<int>(row.size()) != t->def.schema.num_columns()) {
+    return Status::InvalidArgument("row arity mismatch for " + table);
   }
-  return st;
+  OpenVersion(t, std::move(row), MutationTime(), DmlKind::kInsert);
+  EndStatement(t);
+  return Status::OK();
 }
 
-Status TemporalEngine::DeleteSequenced(const std::string& table,
-                                       const std::vector<Value>& key,
-                                       int period_index, const Period& period) {
-  AllocateMutationTime();
-  Status st = DoDeleteSequenced(table, key, period_index, period);
-  if (st.ok() && wal_ != nullptr) {
-    WalRecord rec;
-    rec.kind = WalRecord::Kind::kDeleteSequenced;
-    rec.ts = MutationTime().micros();
-    rec.table = table;
-    rec.key = key;
-    rec.period_index = period_index;
-    rec.period = period;
-    BIH_RETURN_IF_ERROR(LogMutation(std::move(rec)));
+Status TemporalEngine::ApplyKeyed(WalRecord::Kind kind,
+                                  const std::string& table,
+                                  const std::vector<Value>& key,
+                                  int period_index, const Period& period,
+                                  const std::vector<ColumnAssignment>& set) {
+  using Kind = WalRecord::Kind;
+  TableState* t = Find(table);
+  if (t == nullptr) return Status::NotFound("table " + table);
+  const bool sequenced =
+      kind != Kind::kUpdateCurrent && kind != Kind::kDeleteCurrent;
+  const int periods = static_cast<int>(t->def.app_periods.size());
+  if (sequenced && (period_index < 0 || period_index >= periods)) {
+    return Status::InvalidArgument("no such application-time period");
   }
-  return st;
+  std::vector<VersionRef> refs;
+  CurrentVersions(t, key, &refs);
+  if (refs.empty()) return Status::NotFound("no current version of key");
+  const Timestamp ts = MutationTime();
+  const DmlKind dml =
+      kind == Kind::kDeleteCurrent || kind == Kind::kDeleteSequenced
+          ? DmlKind::kDelete
+          : DmlKind::kUpdate;
+
+  if (kind == Kind::kDeleteCurrent) {
+    for (VersionRef v : refs) CloseVersion(t, v, ts, dml);
+  } else if (kind == Kind::kUpdateCurrent) {
+    // Only the system time moves: each version is replaced in turn.
+    for (VersionRef v : refs) {
+      Row row = ReadVersion(t, v);
+      for (const ColumnAssignment& a : set) {
+        row[static_cast<size_t>(a.column)] = a.value;
+      }
+      CloseVersion(t, v, ts, dml);
+      OpenVersion(t, std::move(row), ts, dml);
+    }
+  } else {
+    std::vector<Row> versions;
+    versions.reserve(refs.size());
+    for (VersionRef v : refs) versions.push_back(ReadVersion(t, v));
+    const AppPeriodDef& ap =
+        t->def.app_periods[static_cast<size_t>(period_index)];
+    SequencedOps ops;
+    if (kind == Kind::kUpdateSequenced) {
+      ops = PlanSequencedUpdate(versions, ap.begin_col, ap.end_col, period,
+                                set);
+    } else if (kind == Kind::kDeleteSequenced) {
+      ops = PlanSequencedDelete(versions, ap.begin_col, ap.end_col, period);
+    } else {
+      ops = PlanOverwriteUpdate(versions, ap.begin_col, ap.end_col, period,
+                                set);
+    }
+    for (size_t vi : ops.to_close) CloseVersion(t, refs[vi], ts, dml);
+    for (Row& row : ops.to_insert) OpenVersion(t, std::move(row), ts, dml);
+  }
+  EndStatement(t);
+  return Status::OK();
 }
 
 Status TemporalEngine::EnableWal(const std::string& path,
@@ -205,22 +241,16 @@ Status TemporalEngine::ApplyWalRecord(const WalRecord& rec) {
     case WalRecord::Kind::kCreateTable:
       return DoCreateTable(rec.def);
     case WalRecord::Kind::kInsert:
-      return DoInsert(rec.table, rec.row);
+      return ApplyInsert(rec.table, rec.row);
     case WalRecord::Kind::kBulkLoad:
       return DoBulkLoad(rec.table, rec.rows);
     case WalRecord::Kind::kUpdateCurrent:
-      return DoUpdateCurrent(rec.table, rec.key, rec.set);
     case WalRecord::Kind::kUpdateSequenced:
-      return DoUpdateSequenced(rec.table, rec.key, rec.period_index,
-                               rec.period, rec.set);
     case WalRecord::Kind::kUpdateOverwrite:
-      return DoUpdateOverwrite(rec.table, rec.key, rec.period_index,
-                               rec.period, rec.set);
     case WalRecord::Kind::kDeleteCurrent:
-      return DoDeleteCurrent(rec.table, rec.key);
     case WalRecord::Kind::kDeleteSequenced:
-      return DoDeleteSequenced(rec.table, rec.key, rec.period_index,
-                               rec.period);
+      return ApplyKeyed(rec.kind, rec.table, rec.key, rec.period_index,
+                        rec.period, rec.set);
     case WalRecord::Kind::kCommit:
       return Status::OK();
     case WalRecord::Kind::kSnapshotRows:
@@ -234,6 +264,19 @@ Status TemporalEngine::ApplyWalRecord(const WalRecord& rec) {
       return Status::OK();
   }
   return Status::Internal("unhandled wal record kind");
+}
+
+void TemporalEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
+  ExecStats local;
+  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
+  *stats = ExecStats{};
+  ScanTable(req, stats, cb);
+  if (req.stats == nullptr) {
+    // The lock only serializes the publication slot; it is never held while
+    // scanning, so concurrent readers contend for nanoseconds per query.
+    MutexLock lock(stats_mu_);
+    stats_ = local;
+  }
 }
 
 Status TemporalEngine::DoBulkLoad(const std::string& table,

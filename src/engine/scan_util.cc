@@ -1,5 +1,7 @@
 #include "engine/scan_util.h"
 
+#include <algorithm>
+
 namespace bih {
 
 TemporalCols ResolveTemporalCols(const TableDef& def, int app_period_index) {
@@ -13,6 +15,27 @@ TemporalCols ResolveTemporalCols(const TableDef& def, int app_period_index) {
     tc.app_end = def.app_periods[static_cast<size_t>(app_period_index)].end_col;
   }
   return tc;
+}
+
+IndexKey PrimaryKeyOf(const TableDef& def, const Row& row) {
+  IndexKey key;
+  key.reserve(def.primary_key.size());
+  for (int c : def.primary_key) key.push_back(row[static_cast<size_t>(c)]);
+  return key;
+}
+
+bool PrimaryKeyFromEquals(const TableDef& def, const ScanRequest& req,
+                          IndexKey* key) {
+  if (def.primary_key.empty()) return false;
+  key->assign(def.primary_key.size(), Value());
+  for (size_t i = 0; i < def.primary_key.size(); ++i) {
+    auto it = std::find_if(
+        req.equals.begin(), req.equals.end(),
+        [&](const auto& eq) { return eq.first == def.primary_key[i]; });
+    if (it == req.equals.end()) return false;
+    (*key)[i] = it->second;
+  }
+  return true;
 }
 
 Period RowSystemPeriod(const Row& row, const TemporalCols& tc) {

@@ -5,6 +5,7 @@
 #include "common/value.h"
 #include "engine/engine.h"
 #include "exec/parallel.h"
+#include "storage/btree_index.h"
 #include "storage/row_table.h"
 #include "temporal/temporal.h"
 
@@ -37,6 +38,16 @@ bool MatchesTemporal(const Row& row, const TemporalScanSpec& spec,
 
 // Non-temporal residual predicates (equality list + range constraint).
 bool MatchesConstraints(const Row& row, const ScanRequest& req);
+
+// The primary-key values of `row`, a user or scan-schema row (the key
+// columns are user columns, so both layouts agree).
+IndexKey PrimaryKeyOf(const TableDef& def, const Row& row);
+
+// Fills `key` with the full primary key bound by the request's equality
+// constraints; false when they leave a key column unbound. Serves the
+// system key index fast path of the row stores.
+bool PrimaryKeyFromEquals(const TableDef& def, const ScanRequest& req,
+                          IndexKey* key);
 
 // Records that one partition of this scan was served by index `name`.
 // Every engine's index access paths report through this helper so the

@@ -75,38 +75,36 @@ Schema SystemAEngine::ScanSchema(const std::string& table) const {
   return t->stored_schema;
 }
 
-IndexKey SystemAEngine::KeyOf(const Table& t, const Row& stored_row) const {
-  IndexKey key;
-  key.reserve(t.def.primary_key.size());
-  for (int c : t.def.primary_key) {
-    key.push_back(stored_row[static_cast<size_t>(c)]);
-  }
-  return key;
-}
-
-std::vector<RowId> SystemAEngine::CurrentVersionsOf(
-    Table* t, const std::vector<Value>& key) {
-  std::vector<RowId> rids;
-  t->pk_current.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
+void SystemAEngine::CurrentVersions(TableState* t,
+                                    const std::vector<Value>& key,
+                                    std::vector<VersionRef>* out) {
+  static_cast<Table*>(t)->pk_current.Lookup(key, [&](RowId rid) {
+    out->push_back(rid);
     return true;
   });
-  return rids;
 }
 
-RowId SystemAEngine::InsertCurrent(Table* t, Row user_row, Timestamp ts) {
-  user_row.push_back(Value(ts));
-  user_row.push_back(Value(Period::kForever));
+Row SystemAEngine::ReadVersion(TableState* t, VersionRef v) {
+  const Row& stored = static_cast<Table*>(t)->current.Get(v);
+  return Row(stored.begin(), stored.end() - 2);  // strip system columns
+}
+
+void SystemAEngine::OpenVersion(TableState* state, Row user_row,
+                                Timestamp ts, DmlKind /*kind*/) {
+  Table* t = static_cast<Table*>(state);
+  user_row.emplace_back(ts);
+  user_row.emplace_back(Period::kForever);
   RowId rid = t->current.Append(std::move(user_row));
   const Row& stored = t->current.Get(rid);
-  t->pk_current.Insert(KeyOf(*t, stored), rid);
+  t->pk_current.Insert(PrimaryKeyOf(t->def, stored), rid);
   t->current_indexes.OnInsert(stored, rid);
-  return rid;
 }
 
-void SystemAEngine::MoveToHistory(Table* t, RowId rid, Timestamp ts) {
+void SystemAEngine::CloseVersion(TableState* state, VersionRef rid,
+                                 Timestamp ts, DmlKind /*kind*/) {
+  Table* t = static_cast<Table*>(state);
   Row closed = t->current.Get(rid);
-  t->pk_current.Erase(KeyOf(*t, closed), rid);
+  t->pk_current.Erase(PrimaryKeyOf(t->def, closed), rid);
   t->current_indexes.OnDelete(closed, rid);
   t->current.Delete(rid);
   // A version opened and closed by the same transaction was never visible;
@@ -115,108 +113,6 @@ void SystemAEngine::MoveToHistory(Table* t, RowId rid, Timestamp ts) {
   closed[closed.size() - 1] = Value(ts);  // SYS_TIME_END
   RowId hid = t->history.Append(std::move(closed));
   t->history_indexes.OnInsert(t->history.Get(hid), hid);
-}
-
-Status SystemAEngine::DoInsert(const std::string& table, Row row) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(row.size()) != t->def.schema.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch for " + table);
-  }
-  InsertCurrent(t, std::move(row), MutationTime());
-  return Status::OK();
-}
-
-Status SystemAEngine::DoUpdateCurrent(const std::string& table,
-                                    const std::vector<Value>& key,
-                                    const std::vector<ColumnAssignment>& set) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids = CurrentVersionsOf(t, key);
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) {
-    Row user_row(t->current.Get(rid).begin(),
-                 t->current.Get(rid).end() - 2);  // strip system columns
-    for (const ColumnAssignment& a : set) {
-      user_row[static_cast<size_t>(a.column)] = a.value;
-    }
-    MoveToHistory(t, rid, ts);
-    InsertCurrent(t, std::move(user_row), ts);
-  }
-  return Status::OK();
-}
-
-Status SystemAEngine::ApplySequenced(const std::string& table,
-                                     const std::vector<Value>& key,
-                                     int period_index, const Period& period,
-                                     const std::vector<ColumnAssignment>& set,
-                                     int mode) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (period_index < 0 ||
-      period_index >= static_cast<int>(t->def.app_periods.size())) {
-    return Status::InvalidArgument("no such application-time period");
-  }
-  const AppPeriodDef& ap =
-      t->def.app_periods[static_cast<size_t>(period_index)];
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids = CurrentVersionsOf(t, key);
-  if (rids.empty()) return Status::NotFound("no current version of key");
-
-  std::vector<Row> versions;
-  versions.reserve(rids.size());
-  for (RowId rid : rids) versions.push_back(t->current.Get(rid));
-
-  SequencedOps ops;
-  switch (mode) {
-    case 0:
-      ops = PlanSequencedUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-    case 1:
-      ops = PlanSequencedDelete(versions, ap.begin_col, ap.end_col, period);
-      break;
-    default:
-      ops = PlanOverwriteUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-  }
-  for (size_t vi : ops.to_close) MoveToHistory(t, rids[vi], ts);
-  for (Row& r : ops.to_insert) {
-    Row user_row(r.begin(), r.end() - 2);
-    InsertCurrent(t, std::move(user_row), ts);
-  }
-  return Status::OK();
-}
-
-Status SystemAEngine::DoUpdateSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 0);
-}
-
-Status SystemAEngine::DoUpdateOverwrite(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 2);
-}
-
-Status SystemAEngine::DoDeleteCurrent(const std::string& table,
-                                    const std::vector<Value>& key) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids = CurrentVersionsOf(t, key);
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) MoveToHistory(t, rid, ts);
-  return Status::OK();
-}
-
-Status SystemAEngine::DoDeleteSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period) {
-  return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
 void SystemAEngine::ScanPartition(const Table& t, bool is_history,
@@ -240,37 +136,22 @@ void SystemAEngine::ScanPartition(const Table& t, bool is_history,
     RecordIndexUse(stats, index_name);
     return;
   }
-  if (!is_history && !req.equals.empty()) {
+  IndexKey key;
+  if (!is_history && PrimaryKeyFromEquals(t.def, req, &key)) {
     // The system-created key index serves full-key equality on current.
-    IndexKey key(t.def.primary_key.size());
-    size_t matched = 0;
-    for (size_t i = 0; i < t.def.primary_key.size(); ++i) {
-      for (const auto& [c, v] : req.equals) {
-        if (c == t.def.primary_key[i]) {
-          key[i] = v;
-          ++matched;
-          break;
-        }
-      }
-    }
-    if (matched == t.def.primary_key.size() && matched > 0) {
-      RecordIndexUse(stats, "pk_current(" + t.def.name + ")");
-      t.pk_current.Lookup(key, emit_rid);
-      return;
-    }
+    RecordIndexUse(stats, "pk_current(" + t.def.name + ")");
+    t.pk_current.Lookup(key, emit_rid);
+    return;
   }
   ScanSlots(plan, part.SlotCount(), sink, visit);
 }
 
-void SystemAEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
+void SystemAEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
+                              const RowCallback& cb) {
   Table* t = Find(req.table);
   BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
-  ExecStats local;
-  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
-  *stats = ExecStats{};
   const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
-  const ParallelScanPlan plan =
-      ResolveScanPlan(req.exec);
+  const ParallelScanPlan plan = ResolveScanPlan(req.exec);
   bool stopped = false;
   // Partition pruning: only the implicit-current case avoids the history
   // table. An explicit AS OF <now> is *not* recognized (Section 5.3.5).
@@ -281,7 +162,6 @@ void SystemAEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
     ScanPartition(*t, /*is_history=*/true, req, tc, t->history_indexes, plan,
                   stats, &stopped, cb);
   }
-  if (req.stats == nullptr) PublishStats(local);
 }
 
 std::vector<std::string> SystemAEngine::ListTables() const {
@@ -303,7 +183,7 @@ Status SystemAEngine::DoInstallVersion(const std::string& table,
   if (open) {
     RowId rid = t->current.Append(stored);
     const Row& r = t->current.Get(rid);
-    t->pk_current.Insert(KeyOf(*t, r), rid);
+    t->pk_current.Insert(PrimaryKeyOf(t->def, r), rid);
     t->current_indexes.OnInsert(r, rid);
   } else {
     RowId hid = t->history.Append(stored);

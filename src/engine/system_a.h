@@ -33,32 +33,17 @@ class SystemAEngine : public TemporalEngine {
     return tables_.count(table) > 0;
   }
 
-  Status DoInsert(const std::string& table, Row row) override;
-  Status DoUpdateCurrent(const std::string& table, const std::vector<Value>& key,
-                       const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateOverwrite(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoDeleteCurrent(const std::string& table,
-                       const std::vector<Value>& key) override;
-  Status DoDeleteSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period) override;
-
   std::vector<std::string> ListTables() const override;
   Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
-  void Scan(const ScanRequest& req, const RowCallback& cb) override;
   TableStats GetTableStats(const std::string& table) const override;
 
+ protected:
+  void ScanTable(const ScanRequest& req, ExecStats* stats,
+                 const RowCallback& cb) override;
+
  private:
-  struct Table {
-    TableDef def;
+  struct Table : TableState {
     Schema stored_schema;  // user columns + SYS_TIME_START + SYS_TIME_END
     RowTable current;
     RowTable history;
@@ -69,28 +54,26 @@ class SystemAEngine : public TemporalEngine {
     IndexSet history_indexes;
 
     Table(TableDef d, Schema stored)
-        : def(std::move(d)),
+        : TableState(std::move(d)),
           stored_schema(stored),
           current(stored),
           history(stored) {}
   };
 
-  Table* Find(const std::string& name);
+  Table* Find(const std::string& name) override;
   const Table* Find(const std::string& name) const;
 
-  // Closes version `rid` at time `t`: appends it to history with the system
-  // interval truncated and removes it from the current partition.
-  void MoveToHistory(Table* t, RowId rid, Timestamp ts);
-  // Appends a fresh current version (system interval [ts, forever)).
-  RowId InsertCurrent(Table* t, Row user_row, Timestamp ts);
-
-  IndexKey KeyOf(const Table& t, const Row& stored_row) const;
-  std::vector<RowId> CurrentVersionsOf(Table* t, const std::vector<Value>& key);
-
-  // Shared plumbing for the three application-time DML flavours.
-  Status ApplySequenced(const std::string& table, const std::vector<Value>& key,
-                        int period_index, const Period& period,
-                        const std::vector<ColumnAssignment>& set, int mode);
+  // Version primitives: a version is its RowId in the current partition.
+  void CurrentVersions(TableState* t, const std::vector<Value>& key,
+                       std::vector<VersionRef>* out) override;
+  Row ReadVersion(TableState* t, VersionRef v) override;
+  // Appends the version to history with the system interval truncated and
+  // removes it from the current partition.
+  void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
+                    DmlKind kind) override;
+  // Appends a current version with system interval [ts, forever).
+  void OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                   DmlKind kind) override;
 
   void ScanPartition(const Table& t, bool is_history, const ScanRequest& req,
                      const TemporalCols& tc, const IndexSet& tuning,

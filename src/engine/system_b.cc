@@ -85,13 +85,6 @@ Schema SystemBEngine::ScanSchema(const std::string& table) const {
   return t->stored_schema;
 }
 
-IndexKey SystemBEngine::KeyOf(const Table& t, const Row& user_row) const {
-  IndexKey key;
-  key.reserve(t.def.primary_key.size());
-  for (int c : t.def.primary_key) key.push_back(user_row[static_cast<size_t>(c)]);
-  return key;
-}
-
 Row SystemBEngine::StoredRowOf(const Table& t, RowId rid) const {
   Row row = t.current.Get(rid);
   auto it = t.version_slot.find(rid);
@@ -101,25 +94,40 @@ Row SystemBEngine::StoredRowOf(const Table& t, RowId rid) const {
   return row;
 }
 
-RowId SystemBEngine::InsertCurrent(Table* t, Row user_row, Timestamp ts,
-                                   int stmt) {
+void SystemBEngine::CurrentVersions(TableState* t,
+                                    const std::vector<Value>& key,
+                                    std::vector<VersionRef>* out) {
+  static_cast<Table*>(t)->pk_current.Lookup(key, [&](RowId rid) {
+    out->push_back(rid);
+    return true;
+  });
+}
+
+Row SystemBEngine::ReadVersion(TableState* t, VersionRef v) {
+  return static_cast<Table*>(t)->current.Get(v);
+}
+
+void SystemBEngine::OpenVersion(TableState* state, Row user_row, Timestamp ts,
+                                DmlKind kind) {
+  Table* t = static_cast<Table*>(state);
   RowId rid = t->current.Append(std::move(user_row));
   VersionMeta meta;
   meta.row_ref = rid;
   meta.sys_from = ts.micros();
   meta.txn_id = next_txn_id_;
-  meta.stmt_type = stmt;
+  meta.stmt_type = kind;
   t->versions.push_back(meta);
   t->version_slot[rid] = t->versions.size() - 1;
   const Row& stored = t->current.Get(rid);
-  t->pk_current.Insert(KeyOf(*t, stored), rid);
+  t->pk_current.Insert(PrimaryKeyOf(t->def, stored), rid);
   if (!t->current_indexes.empty()) {
     t->current_indexes.OnInsert(StoredRowOf(*t, rid), rid);
   }
-  return rid;
 }
 
-void SystemBEngine::CloseVersion(Table* t, RowId rid, Timestamp ts, int stmt) {
+void SystemBEngine::CloseVersion(TableState* state, VersionRef rid,
+                                 Timestamp ts, DmlKind kind) {
+  Table* t = static_cast<Table*>(state);
   auto it = t->version_slot.find(rid);
   BIH_CHECK(it != t->version_slot.end());
   VersionMeta& meta = t->versions[it->second];
@@ -130,15 +138,15 @@ void SystemBEngine::CloseVersion(Table* t, RowId rid, Timestamp ts, int stmt) {
     if (!t->current_indexes.empty()) {
       t->current_indexes.OnDelete(StoredRowOf(*t, rid), rid);
     }
-    hist.push_back(Value(meta.sys_from));
-    hist.push_back(Value(ts));
-    hist.push_back(Value(meta.txn_id));
-    hist.push_back(Value(static_cast<int64_t>(stmt)));
+    hist.emplace_back(meta.sys_from);
+    hist.emplace_back(ts);
+    hist.emplace_back(meta.txn_id);
+    hist.emplace_back(static_cast<int64_t>(kind));
     t->undo_log.push_back(std::move(hist));
   } else if (!t->current_indexes.empty()) {
     t->current_indexes.OnDelete(StoredRowOf(*t, rid), rid);
   }
-  t->pk_current.Erase(KeyOf(*t, t->current.Get(rid)), rid);
+  t->pk_current.Erase(PrimaryKeyOf(t->def, t->current.Get(rid)), rid);
   t->current.Delete(rid);
   meta.row_ref = kInvalidRowId;
   t->version_slot.erase(it);
@@ -147,6 +155,8 @@ void SystemBEngine::CloseVersion(Table* t, RowId rid, Timestamp ts, int stmt) {
   // which is what produces the 97th-percentile spikes of Fig. 16.
   if (t->undo_log.size() >= kUndoFlushThreshold) FlushUndo(t);
 }
+
+void SystemBEngine::EndStatement(TableState* /*t*/) { ++next_txn_id_; }
 
 void SystemBEngine::FlushUndo(Table* t) {
   // Nothing pending and no compaction due: return before touching anything,
@@ -178,124 +188,6 @@ void SystemBEngine::FlushUndo(Table* t) {
       t->version_slot[t->versions[i].row_ref] = i;
     }
   }
-}
-
-Status SystemBEngine::DoInsert(const std::string& table, Row row) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(row.size()) != t->def.schema.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch for " + table);
-  }
-  ++next_txn_id_;
-  InsertCurrent(t, std::move(row), MutationTime(), 0);
-  return Status::OK();
-}
-
-Status SystemBEngine::DoUpdateCurrent(const std::string& table,
-                                    const std::vector<Value>& key,
-                                    const std::vector<ColumnAssignment>& set) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  ++next_txn_id_;
-  std::vector<RowId> rids;
-  t->pk_current.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) {
-    Row user_row = t->current.Get(rid);
-    for (const ColumnAssignment& a : set) {
-      user_row[static_cast<size_t>(a.column)] = a.value;
-    }
-    CloseVersion(t, rid, ts, 1);
-    InsertCurrent(t, std::move(user_row), ts, 1);
-  }
-  return Status::OK();
-}
-
-Status SystemBEngine::ApplySequenced(const std::string& table,
-                                     const std::vector<Value>& key,
-                                     int period_index, const Period& period,
-                                     const std::vector<ColumnAssignment>& set,
-                                     int mode) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (period_index < 0 ||
-      period_index >= static_cast<int>(t->def.app_periods.size())) {
-    return Status::InvalidArgument("no such application-time period");
-  }
-  const AppPeriodDef& ap =
-      t->def.app_periods[static_cast<size_t>(period_index)];
-  Timestamp ts = MutationTime();
-  ++next_txn_id_;
-  std::vector<RowId> rids;
-  t->pk_current.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-
-  std::vector<Row> versions;
-  versions.reserve(rids.size());
-  for (RowId rid : rids) versions.push_back(t->current.Get(rid));
-
-  SequencedOps ops;
-  switch (mode) {
-    case 0:
-      ops = PlanSequencedUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-    case 1:
-      ops = PlanSequencedDelete(versions, ap.begin_col, ap.end_col, period);
-      break;
-    default:
-      ops = PlanOverwriteUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-  }
-  for (size_t vi : ops.to_close) {
-    CloseVersion(t, rids[vi], ts, mode == 1 ? 2 : 1);
-  }
-  for (Row& r : ops.to_insert) {
-    InsertCurrent(t, std::move(r), ts, 1);
-  }
-  return Status::OK();
-}
-
-Status SystemBEngine::DoUpdateSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 0);
-}
-
-Status SystemBEngine::DoUpdateOverwrite(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 2);
-}
-
-Status SystemBEngine::DoDeleteCurrent(const std::string& table,
-                                    const std::vector<Value>& key) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  ++next_txn_id_;
-  std::vector<RowId> rids;
-  t->pk_current.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) CloseVersion(t, rid, ts, 2);
-  return Status::OK();
-}
-
-Status SystemBEngine::DoDeleteSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period) {
-  return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
 void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
@@ -348,16 +240,13 @@ void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
   ScanSlots(plan, t->current.SlotCount(), sink, visit);
 }
 
-void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
+void SystemBEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
+                              const RowCallback& cb) {
   Table* t = Find(req.table);
   BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
-  ExecStats local;
-  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
-  *stats = ExecStats{};
   const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
   const int64_t now = clock_.Now().micros();
-  const ParallelScanPlan plan =
-      ResolveScanPlan(req.exec);
+  const ParallelScanPlan plan = ResolveScanPlan(req.exec);
   const bool needs_history =
       t->def.system_versioned &&
       req.temporal.system_time.kind != TemporalSelector::Kind::kImplicitCurrent;
@@ -385,30 +274,15 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
     if (t->current_indexes.TryIndexAccess(req, tc, t->current.LiveCount(),
                                           &index_name, emit_rid)) {
       RecordIndexUse(stats, index_name);
-      if (req.stats == nullptr) PublishStats(local);
       return;
     }
-    if (!req.equals.empty()) {
-      IndexKey key(t->def.primary_key.size());
-      size_t matched = 0;
-      for (size_t i = 0; i < t->def.primary_key.size(); ++i) {
-        for (const auto& [c, v] : req.equals) {
-          if (c == t->def.primary_key[i]) {
-            key[i] = v;
-            ++matched;
-            break;
-          }
-        }
-      }
-      if (matched == t->def.primary_key.size() && matched > 0) {
-        RecordIndexUse(stats, "pk_current(" + t->def.name + ")");
-        t->pk_current.Lookup(key, emit_rid);
-        if (req.stats == nullptr) PublishStats(local);
-        return;
-      }
+    IndexKey key;
+    if (PrimaryKeyFromEquals(t->def, req, &key)) {
+      RecordIndexUse(stats, "pk_current(" + t->def.name + ")");
+      t->pk_current.Lookup(key, emit_rid);
+      return;
     }
     ScanSlots(plan, t->current.SlotCount(), sink, visit);
-    if (req.stats == nullptr) PublishStats(local);
     return;
   }
 
@@ -444,7 +318,6 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
       ScanSlots(plan, t->history.SlotCount(), sink, visit);
     }
   }
-  if (req.stats == nullptr) PublishStats(local);
 }
 
 void SystemBEngine::PrepareForReads() {
@@ -471,7 +344,7 @@ Status SystemBEngine::DoInstallVersion(const std::string& table,
   const int64_t sys_to = stored[user_cols + 1].AsInt();
   if (sys_to == Period::kForever) {
     Row user_row(stored.begin(), stored.begin() + static_cast<long>(user_cols));
-    InsertCurrent(t, std::move(user_row), Timestamp(sys_from), /*stmt=*/0);
+    OpenVersion(t, std::move(user_row), Timestamp(sys_from), DmlKind::kInsert);
   } else {
     // Closed versions go straight to the history partition. The metadata
     // columns are zeroed: a restored store has no live transaction ids, and

@@ -45,32 +45,18 @@ class SystemBEngine : public TemporalEngine {
     return tables_.count(table) > 0;
   }
 
-  Status DoInsert(const std::string& table, Row row) override;
-  Status DoUpdateCurrent(const std::string& table, const std::vector<Value>& key,
-                       const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateOverwrite(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoDeleteCurrent(const std::string& table,
-                       const std::vector<Value>& key) override;
-  Status DoDeleteSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period) override;
-
   std::vector<std::string> ListTables() const override;
   Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
-  void Scan(const ScanRequest& req, const RowCallback& cb) override;
   TableStats GetTableStats(const std::string& table) const override;
 
   // Drains every table's undo log so that concurrent snapshot readers never
   // trigger the background-writer simulation from the scan path.
   void PrepareForReads() override;
+
+ protected:
+  void ScanTable(const ScanRequest& req, ExecStats* stats,
+                 const RowCallback& cb) override;
 
  private:
   // Metadata record of one current row in the vertical partition.
@@ -78,11 +64,10 @@ class SystemBEngine : public TemporalEngine {
     RowId row_ref = kInvalidRowId;
     int64_t sys_from = 0;
     int64_t txn_id = 0;
-    int64_t stmt_type = 0;  // 0=insert 1=update 2=delete
+    DmlKind stmt_type = DmlKind::kInsert;
   };
 
-  struct Table {
-    TableDef def;
+  struct Table : TableState {
     Schema stored_schema;   // scan schema: user + sys interval
     Schema history_schema;  // user + sys interval + txn metadata
     RowTable current;       // user columns only
@@ -98,26 +83,31 @@ class SystemBEngine : public TemporalEngine {
     IndexSet history_indexes;
 
     Table(TableDef d, Schema stored, Schema hist)
-        : def(std::move(d)),
+        : TableState(std::move(d)),
           stored_schema(stored),
           history_schema(hist),
           current(def.schema),
           history(hist) {}
   };
 
-  Table* Find(const std::string& name);
+  Table* Find(const std::string& name) override;
   const Table* Find(const std::string& name) const;
 
-  IndexKey KeyOf(const Table& t, const Row& user_row) const;
   Row StoredRowOf(const Table& t, RowId rid) const;
 
-  RowId InsertCurrent(Table* t, Row user_row, Timestamp ts, int stmt);
-  void CloseVersion(Table* t, RowId rid, Timestamp ts, int stmt);
+  // Version primitives: a version is its RowId in the current partition.
+  void CurrentVersions(TableState* t, const std::vector<Value>& key,
+                       std::vector<VersionRef>* out) override;
+  Row ReadVersion(TableState* t, VersionRef v) override;
+  // Queues the closed version, with its metadata, on the undo log.
+  void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
+                    DmlKind kind) override;
+  // Appends the user row and its metadata record.
+  void OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                   DmlKind kind) override;
+  // Advances the statement counter recorded as TXN_ID.
+  void EndStatement(TableState* t) override;
   void FlushUndo(Table* t);
-
-  Status ApplySequenced(const std::string& table, const std::vector<Value>& key,
-                        int period_index, const Period& period,
-                        const std::vector<ColumnAssignment>& set, int mode);
 
   void ScanCurrentWithReconstruction(Table* t, const ScanRequest& req,
                                      const TemporalCols& tc,

@@ -65,24 +65,39 @@ Schema SystemCEngine::ScanSchema(const std::string& table) const {
   return t->stored_schema;
 }
 
-IndexKey SystemCEngine::KeyOf(const Table& t, const Row& row) const {
-  IndexKey key;
-  key.reserve(t.def.primary_key.size());
-  for (int c : t.def.primary_key) key.push_back(row[static_cast<size_t>(c)]);
-  return key;
+void SystemCEngine::CurrentVersions(TableState* state,
+                                    const std::vector<Value>& key,
+                                    std::vector<VersionRef>* out) {
+  const Table* t = static_cast<Table*>(state);
+  auto it = t->current_by_key.find(key);
+  if (it == t->current_by_key.end()) return;
+  for (const Loc& loc : it->second) out->push_back(RefOf(loc));
 }
 
-SystemCEngine::Loc SystemCEngine::AppendVersion(Table* t, Row user_row,
-                                                Timestamp ts) {
-  user_row.push_back(Value(ts));
-  user_row.push_back(Value(Period::kForever));
+Row SystemCEngine::ReadVersion(TableState* t, VersionRef v) {
+  const Loc loc = LocOf(v);
+  const ColumnTable* part = PartOf(static_cast<Table*>(t), loc.part);
+  Row row(static_cast<size_t>(t->def.schema.num_columns()));
+  for (size_t c = 0; c < row.size(); ++c) {
+    row[c] = part->Get(loc.rid, static_cast<int>(c));
+  }
+  return row;
+}
+
+void SystemCEngine::OpenVersion(TableState* state, Row user_row, Timestamp ts,
+                                DmlKind /*kind*/) {
+  Table* t = static_cast<Table*>(state);
+  user_row.emplace_back(ts);
+  user_row.emplace_back(Period::kForever);
   RowId rid = t->delta.Append(user_row);
-  Loc loc{Part::kDelta, rid};
-  t->current_by_key[KeyOf(*t, user_row)].push_back(loc);
-  return loc;
+  t->current_by_key[PrimaryKeyOf(t->def, user_row)].push_back(
+      Loc{Part::kDelta, rid});
 }
 
-void SystemCEngine::InvalidateVersion(Table* t, const Loc& loc, Timestamp ts) {
+void SystemCEngine::CloseVersion(TableState* state, VersionRef v, Timestamp ts,
+                                 DmlKind /*kind*/) {
+  Table* t = static_cast<Table*>(state);
+  const Loc loc = LocOf(v);
   ColumnTable* part = PartOf(t, loc.part);
   const int vt_col = t->stored_schema.num_columns() - 1;
   const int vf_col = vt_col - 1;
@@ -106,7 +121,8 @@ void SystemCEngine::InvalidateVersion(Table* t, const Loc& loc, Timestamp ts) {
   if (locs.empty()) t->current_by_key.erase(it);
 }
 
-void SystemCEngine::MaybeMerge(Table* t) {
+void SystemCEngine::EndStatement(TableState* state) {
+  Table* t = static_cast<Table*>(state);
   if (t->delta.SlotCount() >= kMergeThreshold) MergeTable(t);
 }
 
@@ -119,7 +135,7 @@ void SystemCEngine::MergeTable(Table* t) {
     const bool open = !vt.is_null() && vt.AsInt() == Period::kForever;
     if (open) {
       RowId new_rid = t->main.Append(row);
-      IndexKey key = KeyOf(*t, row);
+      IndexKey key = PrimaryKeyOf(t->def, row);
       auto it = t->current_by_key.find(key);
       BIH_CHECK(it != t->current_by_key.end());
       for (Loc& l : it->second) {
@@ -149,121 +165,6 @@ void SystemCEngine::MergeTable(Table* t) {
 
 void SystemCEngine::Maintain() {
   for (auto& [name, t] : tables_) MergeTable(&t);
-}
-
-Status SystemCEngine::DoInsert(const std::string& table, Row row) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(row.size()) != t->def.schema.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch for " + table);
-  }
-  AppendVersion(t, std::move(row), MutationTime());
-  MaybeMerge(t);
-  return Status::OK();
-}
-
-Status SystemCEngine::DoUpdateCurrent(const std::string& table,
-                                    const std::vector<Value>& key,
-                                    const std::vector<ColumnAssignment>& set) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  auto it = t->current_by_key.find(key);
-  if (it == t->current_by_key.end()) {
-    return Status::NotFound("no current version of key");
-  }
-  std::vector<Loc> locs = it->second;
-  for (const Loc& loc : locs) {
-    ColumnTable* part = PartOf(t, loc.part);
-    Row user_row = part->GetRow(loc.rid);
-    user_row.resize(static_cast<size_t>(t->def.schema.num_columns()));
-    for (const ColumnAssignment& a : set) {
-      user_row[static_cast<size_t>(a.column)] = a.value;
-    }
-    InvalidateVersion(t, loc, ts);
-    AppendVersion(t, std::move(user_row), ts);
-  }
-  MaybeMerge(t);
-  return Status::OK();
-}
-
-Status SystemCEngine::ApplySequenced(const std::string& table,
-                                     const std::vector<Value>& key,
-                                     int period_index, const Period& period,
-                                     const std::vector<ColumnAssignment>& set,
-                                     int mode) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (period_index < 0 ||
-      period_index >= static_cast<int>(t->def.app_periods.size())) {
-    return Status::InvalidArgument("no such application-time period");
-  }
-  const AppPeriodDef& ap =
-      t->def.app_periods[static_cast<size_t>(period_index)];
-  Timestamp ts = MutationTime();
-  auto it = t->current_by_key.find(key);
-  if (it == t->current_by_key.end()) {
-    return Status::NotFound("no current version of key");
-  }
-  std::vector<Loc> locs = it->second;
-  std::vector<Row> versions;
-  versions.reserve(locs.size());
-  for (const Loc& loc : locs) {
-    versions.push_back(PartOf(t, loc.part)->GetRow(loc.rid));
-  }
-  SequencedOps ops;
-  switch (mode) {
-    case 0:
-      ops = PlanSequencedUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-    case 1:
-      ops = PlanSequencedDelete(versions, ap.begin_col, ap.end_col, period);
-      break;
-    default:
-      ops = PlanOverwriteUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-  }
-  for (size_t vi : ops.to_close) InvalidateVersion(t, locs[vi], ts);
-  for (Row& r : ops.to_insert) {
-    r.resize(static_cast<size_t>(t->def.schema.num_columns()));
-    AppendVersion(t, std::move(r), ts);
-  }
-  MaybeMerge(t);
-  return Status::OK();
-}
-
-Status SystemCEngine::DoUpdateSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 0);
-}
-
-Status SystemCEngine::DoUpdateOverwrite(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 2);
-}
-
-Status SystemCEngine::DoDeleteCurrent(const std::string& table,
-                                    const std::vector<Value>& key) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  auto it = t->current_by_key.find(key);
-  if (it == t->current_by_key.end()) {
-    return Status::NotFound("no current version of key");
-  }
-  std::vector<Loc> locs = it->second;
-  for (const Loc& loc : locs) InvalidateVersion(t, loc, ts);
-  return Status::OK();
-}
-
-Status SystemCEngine::DoDeleteSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period) {
-  return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
 void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
@@ -323,15 +224,12 @@ void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
   ScanSlots(plan, part.SlotCount(), sink, std::move(visit));
 }
 
-void SystemCEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
+void SystemCEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
+                              const RowCallback& cb) {
   Table* t = Find(req.table);
   BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
-  ExecStats local;
-  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
-  *stats = ExecStats{};
   const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
-  const ParallelScanPlan plan =
-      ResolveScanPlan(req.exec);
+  const ParallelScanPlan plan = ResolveScanPlan(req.exec);
   bool stopped = false;
   ScanPartition(*t, t->delta, /*is_history=*/false, req, tc, plan, stats,
                 &stopped, cb);
@@ -344,7 +242,6 @@ void SystemCEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
     ScanPartition(*t, t->history, /*is_history=*/true, req, tc, plan, stats,
                   &stopped, cb);
   }
-  if (req.stats == nullptr) PublishStats(local);
 }
 
 std::vector<std::string> SystemCEngine::ListTables() const {
@@ -367,8 +264,8 @@ Status SystemCEngine::DoInstallVersion(const std::string& table,
   const bool open = stored[user_cols + 1].AsInt() == Period::kForever;
   if (open) {
     Row user_row(stored.begin(), stored.begin() + static_cast<long>(user_cols));
-    AppendVersion(t, std::move(user_row), Timestamp(sys_from));
-    MaybeMerge(t);
+    OpenVersion(t, std::move(user_row), Timestamp(sys_from), DmlKind::kInsert);
+    EndStatement(t);  // the delta->main merge check
   } else {
     // Invalidated versions land in history directly; they never pass
     // through delta, so no key-map maintenance is needed.

@@ -43,31 +43,17 @@ class SystemCEngine : public TemporalEngine {
     return tables_.count(table) > 0;
   }
 
-  Status DoInsert(const std::string& table, Row row) override;
-  Status DoUpdateCurrent(const std::string& table, const std::vector<Value>& key,
-                       const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateOverwrite(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoDeleteCurrent(const std::string& table,
-                       const std::vector<Value>& key) override;
-  Status DoDeleteSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period) override;
-
   std::vector<std::string> ListTables() const override;
   Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
-  void Scan(const ScanRequest& req, const RowCallback& cb) override;
   TableStats GetTableStats(const std::string& table) const override;
 
   // Delta->main merge for every table (history relocation included).
   void Maintain() override;
+
+ protected:
+  void ScanTable(const ScanRequest& req, ExecStats* stats,
+                 const RowCallback& cb) override;
 
  private:
   enum class Part : uint8_t { kDelta = 0, kMain = 1 };
@@ -76,6 +62,13 @@ class SystemCEngine : public TemporalEngine {
     Part part;
     RowId rid;
   };
+  // A VersionRef packs a Loc: rid in the high bits, part in bit 0.
+  static VersionRef RefOf(const Loc& l) {
+    return (l.rid << 1) | static_cast<VersionRef>(l.part);
+  }
+  static Loc LocOf(VersionRef v) {
+    return Loc{static_cast<Part>(v & 1), v >> 1};
+  }
 
   struct KeyHash {
     size_t operator()(const IndexKey& k) const {
@@ -90,8 +83,7 @@ class SystemCEngine : public TemporalEngine {
     }
   };
 
-  struct Table {
-    TableDef def;
+  struct Table : TableState {
     Schema stored_schema;  // user columns + VALID_FROM + VALID_TO
     ColumnTable delta;
     ColumnTable main;
@@ -102,28 +94,35 @@ class SystemCEngine : public TemporalEngine {
     std::vector<std::string> ignored_indexes;  // accepted but unused
 
     Table(TableDef d, Schema stored)
-        : def(std::move(d)), delta(stored), main(stored), history(stored) {
+        : TableState(std::move(d)),
+          delta(stored),
+          main(stored),
+          history(stored) {
       stored_schema = stored;
     }
   };
 
-  Table* Find(const std::string& name);
+  Table* Find(const std::string& name) override;
   const Table* Find(const std::string& name) const;
 
   ColumnTable* PartOf(Table* t, Part p) {
     return p == Part::kDelta ? &t->delta : &t->main;
   }
 
-  IndexKey KeyOf(const Table& t, const Row& row) const;
   void MergeTable(Table* t);
-  void MaybeMerge(Table* t);
 
-  Loc AppendVersion(Table* t, Row user_row, Timestamp ts);
-  void InvalidateVersion(Table* t, const Loc& loc, Timestamp ts);
-
-  Status ApplySequenced(const std::string& table, const std::vector<Value>& key,
-                        int period_index, const Period& period,
-                        const std::vector<ColumnAssignment>& set, int mode);
+  // Version primitives: a version is its packed Loc in delta or main.
+  void CurrentVersions(TableState* t, const std::vector<Value>& key,
+                       std::vector<VersionRef>* out) override;
+  Row ReadVersion(TableState* t, VersionRef v) override;
+  // Sets VALID_TO in place; relocation to history waits for the merge.
+  void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
+                    DmlKind kind) override;
+  // Appends to the write-optimized delta.
+  void OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                   DmlKind kind) override;
+  // Merges once the delta reaches kMergeThreshold.
+  void EndStatement(TableState* t) override;
 
   void ScanPartition(const Table& t, const ColumnTable& part, bool is_history,
                      const ScanRequest& req, const TemporalCols& tc,

@@ -64,26 +64,36 @@ Schema SystemDEngine::ScanSchema(const std::string& table) const {
   return t->stored_schema;
 }
 
-IndexKey SystemDEngine::KeyOf(const Table& t, const Row& row) const {
-  IndexKey key;
-  key.reserve(t.def.primary_key.size());
-  for (int c : t.def.primary_key) key.push_back(row[static_cast<size_t>(c)]);
-  return key;
+void SystemDEngine::CurrentVersions(TableState* t,
+                                    const std::vector<Value>& key,
+                                    std::vector<VersionRef>* out) {
+  static_cast<Table*>(t)->current_by_key.Lookup(key, [&](RowId rid) {
+    out->push_back(rid);
+    return true;
+  });
 }
 
-RowId SystemDEngine::InsertVersion(Table* t, Row user_row, Timestamp ts) {
-  user_row.push_back(Value(ts));
-  user_row.push_back(Value(Period::kForever));
+Row SystemDEngine::ReadVersion(TableState* t, VersionRef v) {
+  const Row& stored = static_cast<Table*>(t)->data.Get(v);
+  return Row(stored.begin(), stored.end() - 2);  // strip system columns
+}
+
+void SystemDEngine::OpenVersion(TableState* state, Row user_row, Timestamp ts,
+                                DmlKind /*kind*/) {
+  Table* t = static_cast<Table*>(state);
+  user_row.emplace_back(ts);
+  user_row.emplace_back(Period::kForever);
   RowId rid = t->data.Append(std::move(user_row));
   const Row& stored = t->data.Get(rid);
-  t->current_by_key.Insert(KeyOf(*t, stored), rid);
+  t->current_by_key.Insert(PrimaryKeyOf(t->def, stored), rid);
   t->indexes.OnInsert(stored, rid);
-  return rid;
 }
 
-void SystemDEngine::CloseVersion(Table* t, RowId rid, Timestamp ts) {
+void SystemDEngine::CloseVersion(TableState* state, VersionRef rid,
+                                 Timestamp ts, DmlKind /*kind*/) {
+  Table* t = static_cast<Table*>(state);
   Row* row = t->data.GetMutable(rid);
-  t->current_by_key.Erase(KeyOf(*t, *row), rid);
+  t->current_by_key.Erase(PrimaryKeyOf(t->def, *row), rid);
   if ((*row)[row->size() - 2].AsInt() == ts.micros()) {
     // Same-transaction churn: the version was never visible; drop it.
     t->indexes.OnDelete(*row, rid);
@@ -93,16 +103,6 @@ void SystemDEngine::CloseVersion(Table* t, RowId rid, Timestamp ts) {
   Row old_row = *row;
   (*row)[row->size() - 1] = Value(ts);
   t->indexes.OnUpdate(old_row, *row, rid);
-}
-
-Status SystemDEngine::DoInsert(const std::string& table, Row row) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(row.size()) != t->def.schema.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch for " + table);
-  }
-  InsertVersion(t, std::move(row), MutationTime());
-  return Status::OK();
 }
 
 Status SystemDEngine::DoBulkLoad(const std::string& table,
@@ -118,122 +118,17 @@ Status SystemDEngine::DoBulkLoad(const std::string& table,
     RowId rid = t->data.Append(std::move(row));
     const Row& stored = t->data.Get(rid);
     if (stored[arity - 1].AsInt() == Period::kForever) {
-      t->current_by_key.Insert(KeyOf(*t, stored), rid);
+      t->current_by_key.Insert(PrimaryKeyOf(t->def, stored), rid);
     }
     t->indexes.OnInsert(stored, rid);
   }
   return Status::OK();
 }
 
-Status SystemDEngine::DoUpdateCurrent(const std::string& table,
-                                    const std::vector<Value>& key,
-                                    const std::vector<ColumnAssignment>& set) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids;
-  t->current_by_key.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) {
-    Row user_row(t->data.Get(rid).begin(), t->data.Get(rid).end() - 2);
-    for (const ColumnAssignment& a : set) {
-      user_row[static_cast<size_t>(a.column)] = a.value;
-    }
-    CloseVersion(t, rid, ts);
-    InsertVersion(t, std::move(user_row), ts);
-  }
-  return Status::OK();
-}
-
-Status SystemDEngine::ApplySequenced(const std::string& table,
-                                     const std::vector<Value>& key,
-                                     int period_index, const Period& period,
-                                     const std::vector<ColumnAssignment>& set,
-                                     int mode) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (period_index < 0 ||
-      period_index >= static_cast<int>(t->def.app_periods.size())) {
-    return Status::InvalidArgument("no such application-time period");
-  }
-  const AppPeriodDef& ap =
-      t->def.app_periods[static_cast<size_t>(period_index)];
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids;
-  t->current_by_key.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-
-  std::vector<Row> versions;
-  versions.reserve(rids.size());
-  for (RowId rid : rids) versions.push_back(t->data.Get(rid));
-
-  SequencedOps ops;
-  switch (mode) {
-    case 0:
-      ops = PlanSequencedUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-    case 1:
-      ops = PlanSequencedDelete(versions, ap.begin_col, ap.end_col, period);
-      break;
-    default:
-      ops = PlanOverwriteUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-  }
-  for (size_t vi : ops.to_close) CloseVersion(t, rids[vi], ts);
-  for (Row& r : ops.to_insert) {
-    Row user_row(r.begin(), r.end() - 2);
-    InsertVersion(t, std::move(user_row), ts);
-  }
-  return Status::OK();
-}
-
-Status SystemDEngine::DoUpdateSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 0);
-}
-
-Status SystemDEngine::DoUpdateOverwrite(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 2);
-}
-
-Status SystemDEngine::DoDeleteCurrent(const std::string& table,
-                                    const std::vector<Value>& key) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids;
-  t->current_by_key.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) CloseVersion(t, rid, ts);
-  return Status::OK();
-}
-
-Status SystemDEngine::DoDeleteSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period) {
-  return ApplySequenced(table, key, period_index, period, {}, 1);
-}
-
-void SystemDEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
+void SystemDEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
+                              const RowCallback& cb) {
   Table* t = Find(req.table);
   BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
-  ExecStats local;
-  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
-  *stats = ExecStats{};
   const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
   stats->partitions_touched = 1;
   // No current/history split: any scan sees all versions.
@@ -250,7 +145,6 @@ void SystemDEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
   } else {
     ScanSlots(ResolveScanPlan(req.exec), t->data.SlotCount(), sink, visit);
   }
-  if (req.stats == nullptr) PublishStats(local);
 }
 
 std::vector<std::string> SystemDEngine::ListTables() const {

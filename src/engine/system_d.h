@@ -36,33 +36,19 @@ class SystemDEngine : public TemporalEngine {
     return tables_.count(table) > 0;
   }
 
-  Status DoInsert(const std::string& table, Row row) override;
   Status DoBulkLoad(const std::string& table, std::vector<Row> rows) override;
-  Status DoUpdateCurrent(const std::string& table, const std::vector<Value>& key,
-                       const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateOverwrite(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoDeleteCurrent(const std::string& table,
-                       const std::vector<Value>& key) override;
-  Status DoDeleteSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period) override;
 
   std::vector<std::string> ListTables() const override;
   Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
-  void Scan(const ScanRequest& req, const RowCallback& cb) override;
   TableStats GetTableStats(const std::string& table) const override;
 
+ protected:
+  void ScanTable(const ScanRequest& req, ExecStats* stats,
+                 const RowCallback& cb) override;
+
  private:
-  struct Table {
-    TableDef def;
+  struct Table : TableState {
     Schema stored_schema;  // user columns + SYS_TIME_START + SYS_TIME_END
     RowTable data;
     // Application-side bookkeeping of the visible versions per key; plays
@@ -72,19 +58,21 @@ class SystemDEngine : public TemporalEngine {
     IndexSet indexes;
 
     Table(TableDef d, Schema stored)
-        : def(std::move(d)), stored_schema(stored), data(stored) {}
+        : TableState(std::move(d)), stored_schema(stored), data(stored) {}
   };
 
-  Table* Find(const std::string& name);
+  Table* Find(const std::string& name) override;
   const Table* Find(const std::string& name) const;
 
-  IndexKey KeyOf(const Table& t, const Row& row) const;
-  RowId InsertVersion(Table* t, Row user_row, Timestamp ts);
-  void CloseVersion(Table* t, RowId rid, Timestamp ts);
-
-  Status ApplySequenced(const std::string& table, const std::vector<Value>& key,
-                        int period_index, const Period& period,
-                        const std::vector<ColumnAssignment>& set, int mode);
+  // Version primitives: a version is its RowId; closing it sets
+  // SYS_TIME_END in place.
+  void CurrentVersions(TableState* t, const std::vector<Value>& key,
+                       std::vector<VersionRef>* out) override;
+  Row ReadVersion(TableState* t, VersionRef v) override;
+  void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
+                    DmlKind kind) override;
+  void OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                   DmlKind kind) override;
 
   std::unordered_map<std::string, Table> tables_;
 };

@@ -20,6 +20,25 @@ struct ScopeColumn {
   std::string name;
 };
 
+// Binds one binary SQL operator over its bound operands.
+Status BindBinaryOp(const std::string& op, ExprPtr a, ExprPtr b,
+                    ExprPtr* out) {
+  if (op == "+") *out = Add(a, b);
+  else if (op == "-") *out = Sub(a, b);
+  else if (op == "*") *out = Mul(a, b);
+  else if (op == "/") *out = Div(a, b);
+  else if (op == "=") *out = Eq(a, b);
+  else if (op == "<>") *out = Ne(a, b);
+  else if (op == "<") *out = Lt(a, b);
+  else if (op == "<=") *out = Le(a, b);
+  else if (op == ">") *out = Gt(a, b);
+  else if (op == ">=") *out = Ge(a, b);
+  else if (op == "AND") *out = And(a, b);
+  else if (op == "OR") *out = Or(a, b);
+  else return Status::Internal("unknown operator " + op);
+  return Status::OK();
+}
+
 class Binder {
  public:
   explicit Binder(const std::vector<ScopeColumn>* scope) : scope_(scope) {}
@@ -90,10 +109,10 @@ class Binder {
         } else if (trailing) {
           *out = StartsWith(s, Lit(Value(core)));
         } else if (leading) {
-          // suffix match: contains + cheap approximation is wrong; use
-          // equality of the trailing part via Contains as a documented
-          // simplification would be unsound — implement via Contains plus
-          // length is not expressible, so reject.
+          // The expression library has prefix (StartsWith) and substring
+          // (Contains) matching but no suffix operator, and Contains would
+          // also accept the core anywhere mid-string; reject rather than
+          // return wrong rows.
           return Status::Unimplemented("LIKE '%x' (suffix) is not supported");
         } else {
           *out = Eq(s, Lit(Value(core)));
@@ -104,21 +123,7 @@ class Binder {
         ExprPtr a, b;
         BIH_RETURN_IF_ERROR(Bind(e->children[0], &a));
         BIH_RETURN_IF_ERROR(Bind(e->children[1], &b));
-        const std::string& op = e->op;
-        if (op == "+") *out = Add(a, b);
-        else if (op == "-") *out = Sub(a, b);
-        else if (op == "*") *out = Mul(a, b);
-        else if (op == "/") *out = Div(a, b);
-        else if (op == "=") *out = Eq(a, b);
-        else if (op == "<>") *out = Ne(a, b);
-        else if (op == "<") *out = Lt(a, b);
-        else if (op == "<=") *out = Le(a, b);
-        else if (op == ">") *out = Gt(a, b);
-        else if (op == ">=") *out = Ge(a, b);
-        else if (op == "AND") *out = And(a, b);
-        else if (op == "OR") *out = Or(a, b);
-        else return Status::Internal("unknown operator " + op);
-        return Status::OK();
+        return BindBinaryOp(e->op, a, b, out);
       }
       case SqlExpr::Kind::kAggregate:
         return Status::InvalidArgument(
@@ -149,19 +154,31 @@ std::string DeriveName(const SelectItem& item, size_t index) {
   return "EXPR" + std::to_string(index + 1);
 }
 
+// The expression an ORDER BY item sorts on: an unqualified name matching
+// an output alias stands for that select item's expression.
+const SqlExprPtr& OrderTarget(const OrderItem& item,
+                              const SelectStatement& stmt) {
+  const SqlExprPtr& e = item.expr;
+  if (e->kind != SqlExpr::Kind::kColumn || !e->qualifier.empty()) return e;
+  for (const SelectItem& si : stmt.items) {
+    if (!si.alias.empty() && si.alias == e->name) return si.expr;
+  }
+  return e;
+}
+
 // Extracts equi-join keys from the conjunctive ON condition: conditions of
 // the form left_col = right_col become hash keys; everything else stays a
 // residual predicate over the joined row.
 void SplitJoinCondition(const SqlExprPtr& e, const Binder& left_binder,
-                        const Binder& right_binder, size_t left_width,
+                        const Binder& right_binder,
                         std::vector<int>* left_keys,
                         std::vector<int>* right_keys,
                         std::vector<SqlExprPtr>* residual) {
   if (e->kind == SqlExpr::Kind::kBinary && e->op == "AND") {
-    SplitJoinCondition(e->children[0], left_binder, right_binder, left_width,
-                       left_keys, right_keys, residual);
-    SplitJoinCondition(e->children[1], left_binder, right_binder, left_width,
-                       left_keys, right_keys, residual);
+    SplitJoinCondition(e->children[0], left_binder, right_binder, left_keys,
+                       right_keys, residual);
+    SplitJoinCondition(e->children[1], left_binder, right_binder, left_keys,
+                       right_keys, residual);
     return;
   }
   if (e->kind == SqlExpr::Kind::kBinary && e->op == "=" &&
@@ -181,7 +198,6 @@ void SplitJoinCondition(const SqlExprPtr& e, const Binder& left_binder,
       return;
     }
   }
-  (void)left_width;
   residual->push_back(e);
 }
 
@@ -235,8 +251,8 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
     Binder right_binder(&right_scope);
     std::vector<int> lk, rk;
     std::vector<SqlExprPtr> residual_parts;
-    SplitJoinCondition(join.on, left_binder, right_binder, scope.size(), &lk,
-                       &rk, &residual_parts);
+    SplitJoinCondition(join.on, left_binder, right_binder, &lk, &rk,
+                       &residual_parts);
     // Combined scope for the residual predicate.
     std::vector<ScopeColumn> combined = scope;
     combined.insert(combined.end(), right_scope.begin(), right_scope.end());
@@ -278,17 +294,8 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
     if (!stmt.order_by.empty()) {
       std::vector<SortSpec> keys;
       for (const OrderItem& item : stmt.order_by) {
-        SqlExprPtr target = item.expr;
-        if (target->kind == SqlExpr::Kind::kColumn && target->qualifier.empty()) {
-          for (const SelectItem& si : stmt.items) {
-            if (!si.alias.empty() && si.alias == target->name) {
-              target = si.expr;
-              break;
-            }
-          }
-        }
         ExprPtr bound;
-        BIH_RETURN_IF_ERROR(binder.Bind(target, &bound));
+        BIH_RETURN_IF_ERROR(binder.Bind(OrderTarget(item, stmt), &bound));
         keys.push_back(SortSpec{bound, item.ascending});
       }
       plan = SortPlan(std::move(plan), std::move(keys));
@@ -411,22 +418,8 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
       BIH_RETURN_IF_ERROR(self(c, self, &k));
       kids.push_back(k);
     }
-    const std::string& op = root->op;
     if (root->kind == SqlExpr::Kind::kBinary) {
-      if (op == "+") *bound = Add(kids[0], kids[1]);
-      else if (op == "-") *bound = Sub(kids[0], kids[1]);
-      else if (op == "*") *bound = Mul(kids[0], kids[1]);
-      else if (op == "/") *bound = Div(kids[0], kids[1]);
-      else if (op == "=") *bound = Eq(kids[0], kids[1]);
-      else if (op == "<>") *bound = Ne(kids[0], kids[1]);
-      else if (op == "<") *bound = Lt(kids[0], kids[1]);
-      else if (op == "<=") *bound = Le(kids[0], kids[1]);
-      else if (op == ">") *bound = Gt(kids[0], kids[1]);
-      else if (op == ">=") *bound = Ge(kids[0], kids[1]);
-      else if (op == "AND") *bound = And(kids[0], kids[1]);
-      else if (op == "OR") *bound = Or(kids[0], kids[1]);
-      else return Status::Internal("unknown operator " + op);
-      return Status::OK();
+      return BindBinaryOp(root->op, kids[0], kids[1], bound);
     }
     if (root->kind == SqlExpr::Kind::kUnary) {
       *bound = Not(kids[0]);
@@ -447,17 +440,9 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
   if (!stmt.order_by.empty()) {
     std::vector<SortSpec> keys;
     for (const OrderItem& item : stmt.order_by) {
-      SqlExprPtr target = item.expr;
-      if (target->kind == SqlExpr::Kind::kColumn && target->qualifier.empty()) {
-        for (const SelectItem& si : stmt.items) {
-          if (!si.alias.empty() && si.alias == target->name) {
-            target = si.expr;
-            break;
-          }
-        }
-      }
       ExprPtr bound;
-      BIH_RETURN_IF_ERROR(bind_over_agg(target, bind_over_agg, &bound));
+      BIH_RETURN_IF_ERROR(
+          bind_over_agg(OrderTarget(item, stmt), bind_over_agg, &bound));
       keys.push_back(SortSpec{bound, item.ascending});
     }
     plan = SortPlan(std::move(plan), std::move(keys));

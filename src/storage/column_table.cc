@@ -98,31 +98,12 @@ void ColumnTable::Delete(RowId id) {
   }
 }
 
-void ColumnTable::Scan(const std::vector<int>& needed,
-                       const std::function<bool(RowId, const Row&)>& fn) const {
-  Row scratch(needed.size());
-  for (RowId id = 0; id < size_; ++id) {
-    if (deleted_[id]) continue;
-    for (size_t i = 0; i < needed.size(); ++i) scratch[i] = Get(id, needed[i]);
-    if (!fn(id, scratch)) return;
-  }
-}
-
 void ColumnTable::Scan(const std::function<bool(RowId, const Row&)>& fn) const {
   for (RowId id = 0; id < size_; ++id) {
     if (deleted_[id]) continue;
     Row row = GetRow(id);
     if (!fn(id, row)) return;
   }
-}
-
-void ColumnTable::Absorb(ColumnTable* from) {
-  BIH_CHECK(from != nullptr);
-  from->Scan([&](RowId, const Row& row) {
-    Append(row);
-    return true;
-  });
-  from->Clear();
 }
 
 void ColumnTable::Clear() {

@@ -40,16 +40,8 @@ class ColumnTable {
 
   void Delete(RowId id);
 
-  // Full scan over live rows, materializing only the requested columns into
-  // `scratch` (arity = needed.size()). fn returning false stops the scan.
-  void Scan(const std::vector<int>& needed,
-            const std::function<bool(RowId, const Row&)>& fn) const;
-  // Full-row scan.
+  // Full-row scan over live rows; fn returning false stops the scan.
   void Scan(const std::function<bool(RowId, const Row&)>& fn) const;
-
-  // Moves all rows of `from` into this table, clearing `from` (delta->main
-  // merge). Row ids change; callers must not retain ids across a merge.
-  void Absorb(ColumnTable* from);
 
   void Clear();
 

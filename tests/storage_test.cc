@@ -97,31 +97,6 @@ TEST(ColumnTableTest, SetUpdatesInPlace) {
   EXPECT_TRUE(t.Get(r, 1).is_null());
 }
 
-TEST(ColumnTableTest, ProjectedScanTouchesOnlyNeededColumns) {
-  ColumnTable t(TestSchema());
-  for (int i = 0; i < 10; ++i) {
-    t.Append({Value(int64_t{i}), Value("s"), Value(double(i))});
-  }
-  std::vector<double> prices;
-  t.Scan({2}, [&](RowId, const Row& partial) {
-    EXPECT_EQ(1u, partial.size());
-    prices.push_back(partial[0].AsDouble());
-    return true;
-  });
-  EXPECT_EQ(10u, prices.size());
-  EXPECT_DOUBLE_EQ(9.0, prices.back());
-}
-
-TEST(ColumnTableTest, AbsorbMovesRows) {
-  ColumnTable main(TestSchema()), delta(TestSchema());
-  delta.Append({Value(int64_t{1}), Value("a"), Value(1.0)});
-  delta.Append({Value(int64_t{2}), Value("b"), Value(2.0)});
-  main.Absorb(&delta);
-  EXPECT_EQ(0u, delta.LiveCount());
-  EXPECT_EQ(2u, main.LiveCount());
-  EXPECT_EQ("b", main.Get(1, 1).AsString());
-}
-
 // --- B+-tree: randomized equivalence against std::multimap ---------------
 
 struct BTreeModelTest : public ::testing::TestWithParam<int> {};
