@@ -123,8 +123,7 @@ int PlanWidth(const PlanNode& n, const TemporalEngine& engine) {
     case PlanNode::Kind::kProject:
       return static_cast<int>(n.exprs.size());
     case PlanNode::Kind::kHashJoin:
-    case PlanNode::Kind::kMergeJoin:
-    case PlanNode::Kind::kCrossJoin: {
+    case PlanNode::Kind::kMergeJoin: {
       int lw = PlanWidth(*n.children[0], engine);
       int rw = PlanWidth(*n.children[1], engine);
       if (rw < 0 && n.kind == PlanNode::Kind::kHashJoin &&
@@ -133,11 +132,6 @@ int PlanWidth(const PlanNode& n, const TemporalEngine& engine) {
       }
       return lw < 0 || rw < 0 ? -1 : lw + rw;
     }
-    case PlanNode::Kind::kIndexJoin: {
-      int lw = PlanWidth(*n.children[0], engine);
-      if (lw < 0 || !engine.HasTable(n.index_table)) return -1;
-      return lw + engine.ScanSchema(n.index_table).num_columns();
-    }
     case PlanNode::Kind::kAggregate:
       return static_cast<int>(n.group_cols.size() + n.aggs.size());
   }
@@ -145,8 +139,7 @@ int PlanWidth(const PlanNode& n, const TemporalEngine& engine) {
 }
 
 bool IsJoinKind(PlanNode::Kind k) {
-  return k == PlanNode::Kind::kHashJoin || k == PlanNode::Kind::kMergeJoin ||
-         k == PlanNode::Kind::kCrossJoin;
+  return k == PlanNode::Kind::kHashJoin || k == PlanNode::Kind::kMergeJoin;
 }
 
 // ---- Rule 1: predicate pushdown below joins -----------------------------
@@ -406,8 +399,7 @@ void PruneColumns(PlanNode& n, const Demand& demand,
       return;
     }
     case PlanNode::Kind::kHashJoin:
-    case PlanNode::Kind::kMergeJoin:
-    case PlanNode::Kind::kCrossJoin: {
+    case PlanNode::Kind::kMergeJoin: {
       const int lw = PlanWidth(*n.children[0], engine);
       if (lw < 0 || demand.all) {
         PruneColumns(*n.children[0], Demand::All(), engine, rep);
@@ -437,27 +429,6 @@ void PruneColumns(PlanNode& n, const Demand& demand,
       }
       PruneColumns(*n.children[0], dl, engine, rep);
       PruneColumns(*n.children[1], dr, engine, rep);
-      return;
-    }
-    case PlanNode::Kind::kIndexJoin: {
-      const int lw = PlanWidth(*n.children[0], engine);
-      Demand dl;
-      if (lw < 0 || demand.all) {
-        dl = Demand::All();
-      } else {
-        for (int c : demand.cols) {
-          if (c < lw) dl.cols.insert(c);
-        }
-        for (int c : n.left_keys) dl.cols.insert(c);
-        if (n.predicate != nullptr) {
-          std::set<int> rescols;
-          CollectCols(n.predicate, &rescols);
-          for (int c : rescols) {
-            if (c < lw) dl.cols.insert(c);
-          }
-        }
-      }
-      PruneColumns(*n.children[0], dl, engine, rep);
       return;
     }
   }

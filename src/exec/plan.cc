@@ -26,10 +26,6 @@ const char* PlanNode::KindName() const {
       return "HashJoin";
     case Kind::kMergeJoin:
       return "MergeJoin";
-    case Kind::kIndexJoin:
-      return "IndexJoin";
-    case Kind::kCrossJoin:
-      return "CrossJoin";
     case Kind::kAggregate:
       return "Aggregate";
     case Kind::kSort:
@@ -103,28 +99,6 @@ PlanPtr MergeJoinPlan(PlanPtr left, PlanPtr right, std::vector<int> left_keys,
   n->children.push_back(std::move(right));
   n->left_keys = std::move(left_keys);
   n->right_keys = std::move(right_keys);
-  n->predicate = std::move(residual);
-  return n;
-}
-
-PlanPtr IndexJoinPlan(PlanPtr left, std::vector<int> left_keys,
-                      std::string table, std::vector<int> table_keys,
-                      TemporalScanSpec spec, ExprPtr residual) {
-  BIH_CHECK(left_keys.size() == table_keys.size());
-  PlanPtr n = MakeNode(PlanNode::Kind::kIndexJoin);
-  n->children.push_back(std::move(left));
-  n->left_keys = std::move(left_keys);
-  n->right_keys = std::move(table_keys);
-  n->index_table = std::move(table);
-  n->index_spec = spec;
-  n->predicate = std::move(residual);
-  return n;
-}
-
-PlanPtr CrossJoinPlan(PlanPtr left, PlanPtr right, ExprPtr residual) {
-  PlanPtr n = MakeNode(PlanNode::Kind::kCrossJoin);
-  n->children.push_back(std::move(left));
-  n->children.push_back(std::move(right));
   n->predicate = std::move(residual);
   return n;
 }
@@ -421,25 +395,101 @@ Rows MergeJoinKernel(const Rows& left, const Rows& right,
   return out;
 }
 
+// Running state of one aggregate. `Sum` absorbs the numeric addends of
+// SUM/AVG (AbsorbAddend): a running double on the serial path and in the
+// parallel final merge; the addends themselves, in row order, in a
+// parallel morsel's partial. Floating-point addition is not associative,
+// so a morsel cannot pre-add: the coordinator folds each group's addends
+// in morsel order, which is exactly the serial per-group addition sequence
+// — that is what makes the parallel aggregate byte-identical, not merely
+// numerically close.
+template <typename Sum>
 struct AggState {
-  double sum = 0.0;
+  Sum sum{};
   int64_t count = 0;
   bool has = false;
   Value min, max;
   std::set<std::string> distinct;
 };
 
-void FinishAggregate(
-    const std::vector<Row>& group_order,
-    std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq>&
-        groups,
-    const std::vector<AggSpec>& aggs, Rows* out) {
-  out->reserve(group_order.size());
-  for (const Row& key : group_order) {
-    const std::vector<AggState>& st = groups[key];
-    Row r = key;
+void AbsorbAddend(double a, double* sum) { *sum += a; }
+void AbsorbAddend(double a, std::vector<double>* addends) {
+  addends->push_back(a);
+}
+
+// Groups in first-seen order, each with one state per aggregate.
+template <typename Sum>
+struct GroupTable {
+  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> index;
+  std::vector<Row> keys;
+  std::vector<std::vector<AggState<Sum>>> states;
+
+  // The states of group `key`, created on first sight.
+  std::vector<AggState<Sum>>& Find(Row key, size_t num_aggs) {
+    auto it = index.find(key);
+    if (it == index.end()) {
+      it = index.emplace(key, keys.size()).first;
+      keys.push_back(std::move(key));
+      states.emplace_back(num_aggs);
+    }
+    return states[it->second];
+  }
+};
+
+// Folds one input row into its group's states: the accumulate step of both
+// the serial kernel and each parallel morsel.
+template <typename Sum>
+void AccumulateRow(const Row& row, const std::vector<int>& group_cols,
+                   const std::vector<AggSpec>& aggs, GroupTable<Sum>* groups) {
+  std::vector<AggState<Sum>>& st =
+      groups->Find(KeyOf(row, group_cols), aggs.size());
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const AggSpec& a = aggs[i];
+    AggState<Sum>& s = st[i];
+    if (a.kind == AggKind::kCount && a.expr == nullptr) {
+      ++s.count;
+      continue;
+    }
+    Value v = a.expr->Eval(row);
+    if (v.is_null()) continue;  // SQL aggregates skip NULLs
+    switch (a.kind) {
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        AbsorbAddend(v.AsDouble(), &s.sum);
+        ++s.count;
+        break;
+      case AggKind::kCount:
+        ++s.count;
+        break;
+      case AggKind::kMin:
+        if (!s.has || v.Compare(s.min) < 0) s.min = v;
+        s.has = true;
+        break;
+      case AggKind::kMax:
+        if (!s.has || v.Compare(s.max) > 0) s.max = v;
+        s.has = true;
+        break;
+      case AggKind::kCountDistinct:
+        s.distinct.insert(v.ToString());
+        break;
+    }
+  }
+}
+
+// One output row per group, in first-seen order. With no group columns
+// there is exactly one row, even over empty input (SQL semantics).
+Rows FinishAggregate(GroupTable<double>* groups,
+                     const std::vector<int>& group_cols,
+                     const std::vector<AggSpec>& aggs) {
+  if (group_cols.empty() && groups->keys.empty()) {
+    groups->Find(Row{}, aggs.size());
+  }
+  Rows out;
+  out.reserve(groups->keys.size());
+  for (size_t g = 0; g < groups->keys.size(); ++g) {
+    Row r = std::move(groups->keys[g]);
     for (size_t i = 0; i < aggs.size(); ++i) {
-      const AggState& s = st[i];
+      const AggState<double>& s = groups->states[g][i];
       switch (aggs[i].kind) {
         case AggKind::kSum:
           r.push_back(s.count == 0 ? Value::Null() : Value(s.sum));
@@ -463,194 +513,65 @@ void FinishAggregate(
           break;
       }
     }
-    out->push_back(std::move(r));
+    out.push_back(std::move(r));
   }
+  return out;
 }
 
 Rows SerialAggregateKernel(const Rows& in, const std::vector<int>& group_cols,
                            const std::vector<AggSpec>& aggs,
                            QueryContext* ctx) {
-  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
-  std::vector<Row> group_order;  // deterministic output order (first seen)
+  GroupTable<double> groups;
   for (const Row& row : in) {
     if (ctx != nullptr && !ctx->KeepGoing()) return {};
-    Row key = KeyOf(row, group_cols);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      it = groups.emplace(key, std::vector<AggState>(aggs.size())).first;
-      group_order.push_back(key);
-    }
-    std::vector<AggState>& st = it->second;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      const AggSpec& a = aggs[i];
-      if (a.kind == AggKind::kCount && a.expr == nullptr) {
-        ++st[i].count;
-        continue;
-      }
-      Value v = a.expr->Eval(row);
-      if (v.is_null()) continue;  // SQL aggregates skip NULLs
-      AggState& s = st[i];
-      switch (a.kind) {
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          s.sum += v.AsDouble();
-          ++s.count;
-          break;
-        case AggKind::kCount:
-          ++s.count;
-          break;
-        case AggKind::kMin:
-          if (!s.has || v.Compare(s.min) < 0) s.min = v;
-          s.has = true;
-          break;
-        case AggKind::kMax:
-          if (!s.has || v.Compare(s.max) > 0) s.max = v;
-          s.has = true;
-          break;
-        case AggKind::kCountDistinct:
-          s.distinct.insert(v.ToString());
-          break;
-      }
-    }
+    AccumulateRow(row, group_cols, aggs, &groups);
   }
-  if (group_cols.empty() && groups.empty()) {
-    groups.emplace(Row{}, std::vector<AggState>(aggs.size()));
-    group_order.push_back(Row{});
-  }
-  Rows out;
-  FinishAggregate(group_order, groups, aggs, &out);
-  return out;
+  return FinishAggregate(&groups, group_cols, aggs);
 }
-
-// Per-morsel aggregation partial. Floating-point addition is not
-// associative, so kSum/kAvg partials keep the evaluated addends in row
-// order instead of a partial sum; the coordinator folds them group by
-// group in morsel order, which is exactly the serial per-group addition
-// sequence — that is what makes the parallel aggregate byte-identical,
-// not merely numerically close.
-struct AggPartial {
-  int64_t count = 0;
-  bool has = false;
-  Value min, max;
-  std::set<std::string> distinct;
-  std::vector<double> addends;
-};
-
-struct MorselGroups {
-  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> index;
-  std::vector<Row> keys;  // first-seen order within the morsel
-  std::vector<std::vector<AggPartial>> states;
-};
 
 Rows ParallelAggregateKernel(const Rows& in,
                              const std::vector<int>& group_cols,
                              const std::vector<AggSpec>& aggs,
                              QueryContext* ctx, const ParallelScanPlan& plan,
                              bool* interrupted) {
-  std::vector<MorselGroups> partials(PlanMorselCount(plan, in.size()));
-  if (!ParallelMorselRun(
-          plan, in.size(), ctx,
-          [&](uint64_t m, uint64_t begin, uint64_t end,
-              const MorselStop& stop) {
-            MorselGroups& mg = partials[m];
-            for (uint64_t r = begin; r < end; ++r) {
-              if (stop.Interrupted()) return;
-              const Row& row = in[r];
-              Row key = KeyOf(row, group_cols);
-              auto it = mg.index.find(key);
-              if (it == mg.index.end()) {
-                it = mg.index.emplace(key, mg.keys.size()).first;
-                mg.keys.push_back(key);
-                mg.states.emplace_back(aggs.size());
-              }
-              std::vector<AggPartial>& st = mg.states[it->second];
-              for (size_t i = 0; i < aggs.size(); ++i) {
-                const AggSpec& a = aggs[i];
-                if (a.kind == AggKind::kCount && a.expr == nullptr) {
-                  ++st[i].count;
-                  continue;
-                }
-                Value v = a.expr->Eval(row);
-                if (v.is_null()) continue;
-                AggPartial& s = st[i];
-                switch (a.kind) {
-                  case AggKind::kSum:
-                  case AggKind::kAvg:
-                    s.addends.push_back(v.AsDouble());
-                    break;
-                  case AggKind::kCount:
-                    ++s.count;
-                    break;
-                  case AggKind::kMin:
-                    if (!s.has || v.Compare(s.min) < 0) s.min = v;
-                    s.has = true;
-                    break;
-                  case AggKind::kMax:
-                    if (!s.has || v.Compare(s.max) > 0) s.max = v;
-                    s.has = true;
-                    break;
-                  case AggKind::kCountDistinct:
-                    s.distinct.insert(v.ToString());
-                    break;
-                }
-              }
-            }
-          })) {
+  std::vector<GroupTable<std::vector<double>>> partials(
+      PlanMorselCount(plan, in.size()));
+  if (!ParallelMorselRun(plan, in.size(), ctx,
+                         [&](uint64_t m, uint64_t begin, uint64_t end,
+                             const MorselStop& stop) {
+                           for (uint64_t r = begin; r < end; ++r) {
+                             if (stop.Interrupted()) return;
+                             AccumulateRow(in[r], group_cols, aggs,
+                                           &partials[m]);
+                           }
+                         })) {
     *interrupted = true;
     return {};
   }
 
   // Final merge on the coordinator, in morsel order: group discovery order
   // equals the serial first-seen order, and each group's addends fold in
-  // the serial row order.
-  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
-  std::vector<Row> group_order;
-  for (const MorselGroups& mg : partials) {
-    for (size_t g = 0; g < mg.keys.size(); ++g) {
-      const Row& key = mg.keys[g];
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        it = groups.emplace(key, std::vector<AggState>(aggs.size())).first;
-        group_order.push_back(key);
-      }
-      std::vector<AggState>& st = it->second;
-      const std::vector<AggPartial>& ps = mg.states[g];
+  // the serial row order. Each field merges by its own rule; a field that
+  // an aggregate's kind never sets keeps its default in every partial, so
+  // merging it leaves that aggregate's result unchanged.
+  GroupTable<double> groups;
+  for (const GroupTable<std::vector<double>>& part : partials) {
+    for (size_t g = 0; g < part.keys.size(); ++g) {
+      std::vector<AggState<double>>& st =
+          groups.Find(part.keys[g], aggs.size());
       for (size_t i = 0; i < aggs.size(); ++i) {
-        const AggPartial& p = ps[i];
-        AggState& s = st[i];
-        switch (aggs[i].kind) {
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            for (double a : p.addends) {
-              s.sum += a;
-              ++s.count;
-            }
-            break;
-          case AggKind::kCount:
-            s.count += p.count;
-            break;
-          case AggKind::kMin:
-            if (p.has && (!s.has || p.min.Compare(s.min) < 0)) s.min = p.min;
-            s.has |= p.has;
-            break;
-          case AggKind::kMax:
-            if (p.has && (!s.has || p.max.Compare(s.max) > 0)) s.max = p.max;
-            s.has |= p.has;
-            break;
-          case AggKind::kCountDistinct:
-            s.distinct.insert(p.distinct.begin(), p.distinct.end());
-            break;
-        }
+        const AggState<std::vector<double>>& p = part.states[g][i];
+        AggState<double>& s = st[i];
+        for (double a : p.sum) s.sum += a;
+        s.count += p.count;
+        if (p.has && (!s.has || p.min.Compare(s.min) < 0)) s.min = p.min;
+        if (p.has && (!s.has || p.max.Compare(s.max) > 0)) s.max = p.max;
+        s.has |= p.has;
+        s.distinct.insert(p.distinct.begin(), p.distinct.end());
       }
     }
   }
-  if (group_cols.empty() && groups.empty()) {
-    groups.emplace(Row{}, std::vector<AggState>(aggs.size()));
-    group_order.push_back(Row{});
-  }
-  Rows out;
-  FinishAggregate(group_order, groups, aggs, &out);
-  return out;
+  return FinishAggregate(&groups, group_cols, aggs);
 }
 
 Rows SortKernel(Rows in, const std::vector<SortSpec>& keys,
@@ -751,56 +672,6 @@ struct Executor {
             ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
         *out = MergeJoinKernel(left, right, n.left_keys, n.right_keys,
                                n.predicate, ctx, plan, &interrupted);
-        break;
-      }
-      case PlanNode::Kind::kIndexJoin: {
-        Rows left;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
-        ExecStats probe_stats;
-        for (const Row& l : left) {
-          if (ctx != nullptr && !ctx->KeepGoing()) break;
-          ScanRequest req;
-          req.table = n.index_table;
-          req.temporal = n.index_spec;
-          req.ctx = ctx;
-          req.exec = MergeExecOptions(req.exec, opts);
-          // Inner probes must not clobber the engine's shared last_stats()
-          // slot when running under a concurrent session.
-          if (ctx != nullptr) req.stats = &probe_stats;
-          bool null_key = false;
-          for (size_t i = 0; i < n.left_keys.size(); ++i) {
-            const Value& v = l[static_cast<size_t>(n.left_keys[i])];
-            null_key |= v.is_null();
-            req.equals.emplace_back(n.right_keys[i], v);
-          }
-          if (null_key) continue;
-          engine.Scan(req, [&](const Row& r) {
-            Row joined = l;
-            joined.insert(joined.end(), r.begin(), r.end());
-            if (n.predicate == nullptr || n.predicate->Test(joined)) {
-              out->push_back(std::move(joined));
-            }
-            return true;
-          });
-        }
-        n.stats.scan = ctx != nullptr ? probe_stats : engine.last_stats();
-        break;
-      }
-      case PlanNode::Kind::kCrossJoin: {
-        Rows left, right;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
-        BIH_RETURN_IF_ERROR(Run(*n.children[1], &right));
-        for (const Row& l : left) {
-          if (ctx != nullptr && !ctx->KeepGoing()) break;
-          for (const Row& r : right) {
-            Row joined = l;
-            joined.insert(joined.end(), r.begin(), r.end());
-            if (n.predicate != nullptr && !n.predicate->Test(joined)) {
-              continue;
-            }
-            out->push_back(std::move(joined));
-          }
-        }
         break;
       }
       case PlanNode::Kind::kAggregate: {
@@ -931,11 +802,6 @@ void NodeToJson(const PlanNode& n, std::string* out) {
     case PlanNode::Kind::kMergeJoin:
       *out += ",\"keys\":" + std::to_string(n.left_keys.size());
       break;
-    case PlanNode::Kind::kIndexJoin:
-      *out += ",\"probe_table\":" + JsonQuote(n.index_table);
-      *out += ",\"keys\":" + std::to_string(n.left_keys.size());
-      AppendScanStatsJson(n.stats.scan, out);
-      break;
     case PlanNode::Kind::kAggregate:
       *out += ",\"group_cols\":" + std::to_string(n.group_cols.size());
       *out += ",\"aggregates\":" + std::to_string(n.aggs.size());
@@ -948,7 +814,6 @@ void NodeToJson(const PlanNode& n, std::string* out) {
       break;
     case PlanNode::Kind::kFilter:
     case PlanNode::Kind::kProject:
-    case PlanNode::Kind::kCrossJoin:
     case PlanNode::Kind::kDistinct:
       break;
   }

@@ -48,9 +48,9 @@ struct SortSpec {
 };
 
 // Per-node execution counters, reset and refilled by every Execute run.
-// For kScan and kIndexJoin nodes, `scan` carries the engine-side counters
-// (rows examined, partitions touched, index choice) of the node's last
-// engine access; these match the serial scan exactly at any thread count.
+// For kScan nodes, `scan` carries the engine-side counters (rows examined,
+// partitions touched, index choice) of the node's engine access; these
+// match the serial scan exactly at any thread count.
 struct PlanStats {
   uint64_t rows_output = 0;
   ExecStats scan;
@@ -65,10 +65,8 @@ struct PlanNode {
     kValues,     // leaf: pre-materialized rows
     kFilter,
     kProject,
-    kHashJoin,   // children: {left, right}
+    kHashJoin,   // children: {left, right}; no keys = cross product
     kMergeJoin,  // children: {left, right}; parallel run-emission
-    kIndexJoin,  // child: {left}; per-row engine probes into `index_table`
-    kCrossJoin,  // children: {left, right}; optional residual predicate
     kAggregate,  // parallel partial/final aggregation
     kSort,
     kLimit,
@@ -87,17 +85,13 @@ struct PlanNode {
   ExprPtr predicate;
   // kProject
   std::vector<ExprPtr> exprs;
-  // Equi-join key columns (kHashJoin/kMergeJoin/kIndexJoin). right_keys
-  // index the right child's rows for the in-memory joins and the probed
-  // table's scan schema for kIndexJoin.
+  // Equi-join key columns (kHashJoin/kMergeJoin); right_keys index the
+  // right child's rows.
   std::vector<int> left_keys;
   std::vector<int> right_keys;
   // kHashJoin: width of the right side, for kLeftOuter NULL padding.
   size_t right_width = 0;
   JoinType join_type = JoinType::kInner;
-  // kIndexJoin probe target.
-  std::string index_table;
-  TemporalScanSpec index_spec;
   // kAggregate: output rows are group columns followed by one column per
   // aggregate, in spec order. With empty group_cols, exactly one row
   // (global aggregate), even over empty input (SQL semantics).
@@ -122,6 +116,8 @@ PlanPtr FilterPlan(PlanPtr input, ExprPtr predicate);
 PlanPtr ProjectPlan(PlanPtr input, std::vector<ExprPtr> exprs);
 // Hash join on equality of the given key columns; NULL keys never match.
 // For kLeftOuter, unmatched left rows are padded with right_width NULLs.
+// With empty key lists every left row meets every right row (a cross
+// product under the residual), in left-major order.
 PlanPtr HashJoinPlan(PlanPtr left, PlanPtr right, std::vector<int> left_keys,
                      std::vector<int> right_keys, size_t right_width,
                      JoinType type = JoinType::kInner,
@@ -131,16 +127,6 @@ PlanPtr HashJoinPlan(PlanPtr left, PlanPtr right, std::vector<int> left_keys,
 // inner hash join, in key order.
 PlanPtr MergeJoinPlan(PlanPtr left, PlanPtr right, std::vector<int> left_keys,
                       std::vector<int> right_keys, ExprPtr residual = nullptr);
-// Index-nested-loop join: for every left row, probes `table` through the
-// engine with equality on (left key columns -> table columns) under the
-// given temporal coordinates. The plan shape commercial optimizers pick for
-// selective joins — and abandon on temporal tables (Fig. 7).
-PlanPtr IndexJoinPlan(PlanPtr left, std::vector<int> left_keys,
-                      std::string table, std::vector<int> table_keys,
-                      TemporalScanSpec spec, ExprPtr residual = nullptr);
-// Nested-loop cross product with an optional residual predicate (the SQL
-// fallback when a join has no equality conjunct).
-PlanPtr CrossJoinPlan(PlanPtr left, PlanPtr right, ExprPtr residual = nullptr);
 PlanPtr AggregatePlan(PlanPtr input, std::vector<int> group_cols,
                       std::vector<AggSpec> aggs);
 PlanPtr SortPlan(PlanPtr input, std::vector<SortSpec> keys);

@@ -66,31 +66,6 @@ TEST(MergeJoinTest, ResidualAndNullKeys) {
   EXPECT_EQ(20, out[0][3].AsInt());
 }
 
-TEST(IndexJoinPlanTest, ProbesEngineWithKeyLookups) {
-  auto engine = MakeEngine("A");
-  TableDef def;
-  def.name = "T";
-  def.schema = Schema({{"K", ColumnType::kInt}, {"V", ColumnType::kDouble}});
-  def.primary_key = {0};
-  def.system_versioned = true;
-  ASSERT_TRUE(engine->CreateTable(def).ok());
-  for (int64_t k = 1; k <= 50; ++k) {
-    ASSERT_TRUE(engine->Insert("T", {Value(k), Value(double(k) * 10)}).ok());
-  }
-  Rows probes{R({Value(int64_t{3})}), R({Value(int64_t{42})}),
-              R({Value(int64_t{99})}), R({Value::Null()})};
-  Rows out = RunPlan(*IndexJoinPlan(ValuesPlan(probes), {0}, "T", {0},
-                                    TemporalScanSpec::Current()),
-                     *engine);
-  ASSERT_EQ(2u, out.size());  // 99 misses, NULL skipped
-  std::set<int64_t> keys{out[0][0].AsInt(), out[1][0].AsInt()};
-  EXPECT_EQ((std::set<int64_t>{3, 42}), keys);
-  EXPECT_DOUBLE_EQ(out[0][0].AsInt() == 3 ? 30.0 : 420.0,
-                   out[0][2].AsDouble());
-  // The engine's key index served the probes.
-  EXPECT_TRUE(engine->last_stats().used_index);
-}
-
 // Golden-answer tests: a fixed tiny workload where the expected values are
 // verified by construction against the generator's own bookkeeping.
 class GoldenTest : public ::testing::Test {
