@@ -13,22 +13,6 @@
 namespace bih {
 namespace net {
 
-namespace {
-
-int PollFd(int fd, short events, int timeout_ms) {
-  struct pollfd p;
-  p.fd = fd;
-  p.events = events;
-  p.revents = 0;
-  int rc;
-  do {
-    rc = ::poll(&p, 1, timeout_ms);
-  } while (rc < 0 && errno == EINTR);
-  return rc;
-}
-
-}  // namespace
-
 Status Client::Connect(const std::string& host, uint16_t port,
                        const std::string& tenant, int scan_threads) {
   if (fd_ >= 0) return Status::InvalidArgument("client already connected");

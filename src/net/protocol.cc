@@ -1,6 +1,9 @@
 #include "net/protocol.h"
 
+#include <cerrno>
 #include <cstring>
+
+#include <poll.h>
 
 #include "durability/wal.h"
 
@@ -238,6 +241,18 @@ Status DecodeFrame(const uint8_t* data, size_t n, size_t* consumed,
   payload->assign(reinterpret_cast<const char*>(body), len);
   *consumed = kFrameHeaderBytes + len;
   return Status::OK();
+}
+
+int PollFd(int fd, short events, int timeout_ms) {
+  struct pollfd p;
+  p.fd = fd;
+  p.events = events;
+  p.revents = 0;
+  int rc;
+  do {
+    rc = ::poll(&p, 1, timeout_ms);
+  } while (rc < 0 && errno == EINTR);
+  return rc;
 }
 
 }  // namespace net

@@ -92,6 +92,10 @@ void EncodeFrame(const std::string& payload, std::string* frame);
 Status DecodeFrame(const uint8_t* data, size_t n, size_t* consumed,
                    std::string* payload);
 
+// poll() on one descriptor, retrying EINTR; >0 ready, 0 timeout, <0 hard
+// error. The one wait primitive of the client and server socket loops.
+int PollFd(int fd, short events, int timeout_ms);
+
 }  // namespace net
 }  // namespace bih
 

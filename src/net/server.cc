@@ -20,19 +20,6 @@ namespace net {
 
 namespace {
 
-// poll() wrapper retrying EINTR; >0 ready, 0 timeout, <0 hard error.
-int PollFd(int fd, short events, int timeout_ms) {
-  struct pollfd p;
-  p.fd = fd;
-  p.events = events;
-  p.revents = 0;
-  int rc;
-  do {
-    rc = ::poll(&p, 1, timeout_ms);
-  } while (rc < 0 && errno == EINTR);
-  return rc;
-}
-
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
