@@ -1,5 +1,6 @@
 #include "common/value.h"
 
+#include <cmath>
 #include <cstdio>
 #include <functional>
 
@@ -30,9 +31,13 @@ size_t Value::Hash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ULL;
   if (is_int()) return std::hash<int64_t>{}(AsInt());
   if (is_double()) {
+    // Compare() treats an int and a double numerically, so an integral
+    // double must hash like the equal int: a key index or hash join probed
+    // with 7.0 then finds the stored 7.
     double d = AsDouble();
-    // Ensure int-valued doubles hash like ints is NOT required: hash joins
-    // only mix same-typed keys. Hash raw bits.
+    if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+      return std::hash<int64_t>{}(static_cast<int64_t>(d));
+    }
     return std::hash<double>{}(d);
   }
   return std::hash<std::string>{}(AsString());

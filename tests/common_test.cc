@@ -189,6 +189,9 @@ TEST(ValueTest, NullSortsFirst) {
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(int64_t{42}).Hash(), Value(int64_t{42}).Hash());
   EXPECT_EQ(Value("abc").Hash(), Value("abc").Hash());
+  // Compare() finds 42 and 42.0 equal, so they must hash alike.
+  ASSERT_EQ(0, Value(42.0).Compare(Value(int64_t{42})));
+  EXPECT_EQ(Value(42.0).Hash(), Value(int64_t{42}).Hash());
 }
 
 TEST(ValueTest, DateTimestampAccessors) {
