@@ -1,9 +1,16 @@
 #include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "durability/checkpoint.h"
 #include "engine/engine.h"
+#include "engine/recovery.h"
 #include "engine/system_b.h"
 #include "tpch/schema.h"
 
@@ -521,6 +528,134 @@ TEST_P(EngineTest, SameTransactionChurnIsNotVersioned) {
     EXPECT_NE(r[kSysFrom].AsInt(), r[kSysTo].AsInt());
   }
   EXPECT_EQ(3u, ScanWith(TemporalScanSpec::Current()).size());
+}
+
+// The table catalog: names come back sorted whatever the creation order, a
+// duplicate name is refused before anything is logged, and the scan schema
+// ends with the two system-time columns.
+TEST_P(EngineTest, CatalogListsSortedAndRefusesDuplicates) {
+  for (const char* name : {"ZETA", "MID", "ALPHA"}) {
+    TableDef def = AccountDef();
+    def.name = name;
+    ASSERT_TRUE(engine_->CreateTable(def).ok()) << name;
+  }
+  EXPECT_EQ((std::vector<std::string>{"ACCOUNT", "ALPHA", "MID", "ZETA"}),
+            engine_->ListTables());
+  EXPECT_TRUE(engine_->HasTable("MID"));
+  EXPECT_FALSE(engine_->HasTable("NOPE"));
+  EXPECT_FALSE(engine_->HasTable("mid"));
+
+  const std::string path =
+      ::testing::TempDir() + "/catalog_dup_" + GetParam() + ".wal";
+  std::remove(path.c_str());
+  ASSERT_TRUE(engine_->EnableWal(path).ok());
+  const uint64_t records = engine_->wal()->records_written();
+  const uint64_t bytes = engine_->wal()->bytes_written();
+  EXPECT_EQ(Status::Code::kAlreadyExists,
+            engine_->CreateTable(AccountDef()).code());
+  EXPECT_EQ(records, engine_->wal()->records_written());
+  EXPECT_EQ(bytes, engine_->wal()->bytes_written());
+  std::remove(path.c_str());
+
+  const Schema schema = engine_->ScanSchema("ACCOUNT");
+  const int n = schema.num_columns();
+  ASSERT_EQ(AccountDef().schema.num_columns() + 2, n);
+  EXPECT_EQ(ColumnType::kTimestamp, schema.column(n - 2).type);
+  EXPECT_EQ(ColumnType::kTimestamp, schema.column(n - 1).type);
+  EXPECT_EQ("ACCOUNT", engine_->GetTableDef("ACCOUNT").name);
+}
+
+// A checkpoint restores a key with two current versions (left by a
+// sequenced update) and closed versions next to it; the restored key index
+// must find both versions, so a later update closes both, exactly as on an
+// engine that was never restored.
+TEST_P(EngineTest, CheckpointRestoreKeepsEveryCurrentVersionOfAKey) {
+  const std::string path =
+      ::testing::TempDir() + "/ckpt_restore_" + GetParam() + ".wal";
+  auto cleanup = [&] {
+    for (const WalSegment& seg : ListWalSegments(path)) {
+      std::remove(seg.path.c_str());
+    }
+    std::remove(Checkpointer::CheckpointPath(path).c_str());
+  };
+  cleanup();
+  auto live = MakeEngine(GetParam());
+  auto twin = MakeEngine(GetParam());
+  ASSERT_TRUE(live->EnableWal(path).ok());
+  auto both = [&](const std::function<Status(TemporalEngine&)>& op) {
+    ASSERT_TRUE(op(*live).ok());
+    ASSERT_TRUE(op(*twin).ok());
+  };
+  const std::vector<Value> k1{Value(int64_t{1})};
+  const std::vector<Value> k2{Value(int64_t{2})};
+  both([](TemporalEngine& e) { return e.CreateTable(AccountDef()); });
+  both([](TemporalEngine& e) {
+    return e.Insert("ACCOUNT", Account(1, "ann", 100.0, 10, 30));
+  });
+  both([](TemporalEngine& e) {
+    return e.Insert("ACCOUNT", Account(2, "bob", 50.0, 0, 90));
+  });
+  both([](TemporalEngine& e) {
+    return e.Insert("ACCOUNT", Account(3, "cid", 70.0, 0, 90));
+  });
+  // Key 1: [10,20) keeps 100, [20,30) becomes 5 — two current versions.
+  both([&](TemporalEngine& e) {
+    return e.UpdateSequenced("ACCOUNT", k1, 0, Period(20, 40),
+                             {{2, Value(5.0)}});
+  });
+  // Closed versions: key 2 updated twice, key 3 deleted.
+  both([&](TemporalEngine& e) {
+    return e.UpdateCurrent("ACCOUNT", k2, {{2, Value(51.0)}});
+  });
+  both([&](TemporalEngine& e) {
+    return e.UpdateCurrent("ACCOUNT", k2, {{2, Value(52.0)}});
+  });
+  both([](TemporalEngine& e) {
+    return e.DeleteCurrent("ACCOUNT", {Value(int64_t{3})});
+  });
+
+  Checkpointer cp(path);
+  CheckpointInfo info;
+  ASSERT_TRUE(cp.Write(live.get(), &info).ok());
+  std::unique_ptr<TemporalEngine> restored;
+  RecoveryReport report;
+  ASSERT_TRUE(RecoverEngine(GetParam(), path, &restored, &report).ok())
+      << report.ToString();
+  ASSERT_TRUE(report.checkpoint_loaded) << report.ToString();
+
+  auto update = [&](TemporalEngine& e) {
+    return e.UpdateCurrent("ACCOUNT", k1, {{1, Value("amy")}});
+  };
+  ASSERT_TRUE(update(*restored).ok());
+  ASSERT_TRUE(update(*twin).ok());
+
+  auto versions = [](TemporalEngine& e, const TemporalScanSpec& spec) {
+    ScanRequest req;
+    req.table = "ACCOUNT";
+    req.temporal = spec;
+    std::multiset<std::string> out;
+    e.Scan(req, [&](const Row& row) {
+      std::string s;
+      for (const Value& v : row) s += v.ToString() + "|";
+      out.insert(s);
+      return true;
+    });
+    return out;
+  };
+  TemporalScanSpec all;
+  all.system_time = TemporalSelector::All();
+  EXPECT_EQ(versions(*twin, all), versions(*restored, all));
+  EXPECT_EQ(versions(*twin, TemporalScanSpec::Current()),
+            versions(*restored, TemporalScanSpec::Current()));
+  // Both current versions of key 1 were closed and reopened as "amy".
+  int amy = 0;
+  for (const std::string& v :
+       versions(*restored, TemporalScanSpec::Current())) {
+    if (v.rfind("1|amy|", 0) == 0) ++amy;
+  }
+  EXPECT_EQ(2, amy);
+  live.reset();
+  cleanup();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
