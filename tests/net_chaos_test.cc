@@ -674,6 +674,81 @@ TEST(NetChaosTest, DeadWalSurfacesOverTheWireAndCheckpointRevives) {
   server.Drain();
 }
 
+// EXPLAIN over the wire goes through the same request path as a query:
+// the reply equals the in-process plan JSON, a session is required, and a
+// request deadline is enforced and counted against the tenant.
+TEST(NetChaosTest, ExplainOverTheWireMatchesInProcessAndKeepsTheRules) {
+  Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(BuildFixture(&fx, 40));
+  const std::string& query = fx.queries[0].sql;
+  std::string expected;
+  ASSERT_TRUE(sql::Explain(*fx.engine, query, &expected).ok());
+  SessionManager session(fx.engine.get(), SessionConfig{});
+  Server server(&session, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+
+  Client c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), "explainer").ok());
+  std::string json;
+  ASSERT_TRUE(c.Explain(query, 2000, &json).ok());
+  EXPECT_EQ(expected, json);
+
+  // A raw peer that skips Hello: the EXPLAIN is refused with a structured
+  // error, not served.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);  // bih-lint: allow(raw-socket)
+  ASSERT_GE(fd, 0);
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(1, ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr));
+  struct timeval tv;
+  tv.tv_sec = 5;
+  tv.tv_usec = 0;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));  // bih-lint: allow(raw-socket)
+  ASSERT_EQ(0, ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),  // bih-lint: allow(raw-socket)
+                         sizeof(addr)));
+  Message req;
+  req.type = MsgType::kExplain;
+  req.text = query;
+  req.request_id = 7;
+  std::string payload, frame;
+  EncodeMessage(req, &payload);
+  EncodeFrame(payload, &frame);
+  ASSERT_EQ(static_cast<ssize_t>(frame.size()),
+            ::send(fd, frame.data(), frame.size(), 0));  // bih-lint: allow(raw-socket)
+  std::string buf, reply_payload;
+  size_t consumed = 0;
+  while (!DecodeFrame(reinterpret_cast<const uint8_t*>(buf.data()),
+                      buf.size(), &consumed, &reply_payload)
+              .ok()) {
+    char tmp[4096];
+    const ssize_t n = ::recv(fd, tmp, sizeof(tmp), 0);  // bih-lint: allow(raw-socket)
+    ASSERT_GT(n, 0) << "no reply to an EXPLAIN sent before Hello";
+    buf.append(tmp, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  Message reply;
+  ASSERT_TRUE(DecodeMessage(
+                  reinterpret_cast<const uint8_t*>(reply_payload.data()),
+                  reply_payload.size(), &reply)
+                  .ok());
+  EXPECT_EQ(MsgType::kError, reply.type);
+  EXPECT_EQ(static_cast<uint8_t>(Status::Code::kInvalidArgument),
+            reply.status_code);
+  EXPECT_EQ(7u, reply.request_id);
+
+  // Behind a held writer lock the deadline expires first.
+  WriterHold hold(&session);
+  const Status late = c.Explain(query, /*deadline_ms=*/100, &json);
+  hold.Release();
+  EXPECT_EQ(Status::Code::kDeadlineExceeded, late.code()) << late.ToString();
+  const TenantStats stats =
+      server.tenants().GetOrCreate("explainer")->GetStats();
+  EXPECT_EQ(1u, stats.deadline);
+  EXPECT_EQ(1u, stats.ok);
+}
+
 TEST(NetChaosTest, PerTenantStatsSeparateTheNoisyNeighbour) {
   Fixture fx;
   ASSERT_NO_FATAL_FAILURE(BuildFixture(&fx, 40));
