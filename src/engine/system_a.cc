@@ -1,38 +1,9 @@
 #include "engine/system_a.h"
 
-#include <algorithm>
-
 namespace bih {
 
-namespace {
-
-Schema StoredSchema(const TableDef& def) {
-  return def.schema.Extend({{"SYS_TIME_START", ColumnType::kTimestamp},
-                            {"SYS_TIME_END", ColumnType::kTimestamp}});
-}
-
-}  // namespace
-
-SystemAEngine::Table* SystemAEngine::Find(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-const SystemAEngine::Table* SystemAEngine::Find(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-Status SystemAEngine::DoCreateTable(const TableDef& def) {
-  if (tables_.count(def.name)) {
-    return Status::AlreadyExists("table " + def.name);
-  }
-  tables_.emplace(def.name, Table(def, StoredSchema(def)));
-  return Status::OK();
-}
-
 Status SystemAEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = Find(spec.table);
+  Table* t = static_cast<Table*>(Find(spec.table));
   if (t == nullptr) return Status::NotFound("table " + spec.table);
   if (spec.type == IndexType::kRTree) {
     // Architecture A exposes only B-tree (and hash) structures, like the
@@ -56,32 +27,11 @@ Status SystemAEngine::CreateIndex(const IndexSpec& spec) {
 }
 
 Status SystemAEngine::DropIndexes(const std::string& table) {
-  Table* t = Find(table);
+  Table* t = static_cast<Table*>(Find(table));
   if (t == nullptr) return Status::NotFound("table " + table);
   t->current_indexes.Clear();
   t->history_indexes.Clear();
   return Status::OK();
-}
-
-const TableDef& SystemAEngine::GetTableDef(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->def;
-}
-
-Schema SystemAEngine::ScanSchema(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->stored_schema;
-}
-
-void SystemAEngine::CurrentVersions(TableState* t,
-                                    const std::vector<Value>& key,
-                                    std::vector<VersionRef>* out) {
-  static_cast<Table*>(t)->pk_current.Lookup(key, [&](RowId rid) {
-    out->push_back(rid);
-    return true;
-  });
 }
 
 Row SystemAEngine::ReadVersion(TableState* t, VersionRef v) {
@@ -89,29 +39,34 @@ Row SystemAEngine::ReadVersion(TableState* t, VersionRef v) {
   return Row(stored.begin(), stored.end() - 2);  // strip system columns
 }
 
-void SystemAEngine::OpenVersion(TableState* state, Row user_row,
-                                Timestamp ts, DmlKind /*kind*/) {
+TemporalEngine::VersionRef SystemAEngine::OpenVersion(TableState* state,
+                                                      Row user_row,
+                                                      Timestamp ts,
+                                                      DmlKind /*kind*/) {
   Table* t = static_cast<Table*>(state);
   user_row.emplace_back(ts);
   user_row.emplace_back(Period::kForever);
   RowId rid = t->current.Append(std::move(user_row));
-  const Row& stored = t->current.Get(rid);
-  t->pk_current.Insert(PrimaryKeyOf(t->def, stored), rid);
-  t->current_indexes.OnInsert(stored, rid);
+  t->current_indexes.OnInsert(t->current.Get(rid), rid);
+  return rid;
 }
 
 void SystemAEngine::CloseVersion(TableState* state, VersionRef rid,
                                  Timestamp ts, DmlKind /*kind*/) {
   Table* t = static_cast<Table*>(state);
   Row closed = t->current.Get(rid);
-  t->pk_current.Erase(PrimaryKeyOf(t->def, closed), rid);
   t->current_indexes.OnDelete(closed, rid);
   t->current.Delete(rid);
   // A version opened and closed by the same transaction was never visible;
   // only the transaction's final state is versioned.
   if (closed[closed.size() - 2].AsInt() == ts.micros()) return;
   closed[closed.size() - 1] = Value(ts);  // SYS_TIME_END
-  RowId hid = t->history.Append(std::move(closed));
+  InstallClosedVersion(t, std::move(closed));
+}
+
+void SystemAEngine::InstallClosedVersion(TableState* state, Row stored) {
+  Table* t = static_cast<Table*>(state);
+  RowId hid = t->history.Append(std::move(stored));
   t->history_indexes.OnInsert(t->history.Get(hid), hid);
 }
 
@@ -146,10 +101,9 @@ void SystemAEngine::ScanPartition(const Table& t, bool is_history,
   ScanSlots(plan, part.SlotCount(), sink, visit);
 }
 
-void SystemAEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
-                              const RowCallback& cb) {
-  Table* t = Find(req.table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
+void SystemAEngine::ScanTable(TableState* state, const ScanRequest& req,
+                              ExecStats* stats, const RowCallback& cb) {
+  Table* t = static_cast<Table*>(state);
   const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
   const ParallelScanPlan plan = ResolveScanPlan(req.exec);
   bool stopped = false;
@@ -164,36 +118,8 @@ void SystemAEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
   }
 }
 
-std::vector<std::string> SystemAEngine::ListTables() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, t] : tables_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-Status SystemAEngine::DoInstallVersion(const std::string& table,
-                                       const Row& stored) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(stored.size()) != t->stored_schema.num_columns()) {
-    return Status::InvalidArgument("snapshot row arity mismatch for " + table);
-  }
-  const bool open = stored.back().AsInt() == Period::kForever;
-  if (open) {
-    RowId rid = t->current.Append(stored);
-    const Row& r = t->current.Get(rid);
-    t->pk_current.Insert(PrimaryKeyOf(t->def, r), rid);
-    t->current_indexes.OnInsert(r, rid);
-  } else {
-    RowId hid = t->history.Append(stored);
-    t->history_indexes.OnInsert(t->history.Get(hid), hid);
-  }
-  return Status::OK();
-}
-
 TableStats SystemAEngine::GetTableStats(const std::string& table) const {
-  const Table* t = Find(table);
+  const Table* t = static_cast<const Table*>(Find(table));
   BIH_CHECK_MSG(t != nullptr, "no table " + table);
   TableStats s;
   s.current_rows = t->current.LiveCount();

@@ -1,15 +1,14 @@
 #ifndef TPCBIH_ENGINE_SYSTEM_A_H_
 #define TPCBIH_ENGINE_SYSTEM_A_H_
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
 #include "engine/index_set.h"
 #include "engine/scan_util.h"
 #include "exec/parallel.h"
-#include "storage/hash_index.h"
 #include "storage/row_table.h"
 
 namespace bih {
@@ -18,69 +17,53 @@ namespace bih {
 //  * Horizontal partitioning: a current table and a history table with the
 //    same schema (user columns + system-time interval).
 //  * Updates move the outdated version to the history table instantly.
-//  * A system-created key index exists on the current table only; history
-//    tables carry no indexes unless tuning adds them (Section 5.2).
+//  * A system-created key index exists on the current table only (the
+//    base's pk_current, which queries use too); history tables carry no
+//    indexes unless tuning adds them (Section 5.2).
 class SystemAEngine : public TemporalEngine {
  public:
   std::string name() const override { return "SystemA"; }
 
-  Status DoCreateTable(const TableDef& def) override;
   Status CreateIndex(const IndexSpec& spec) override;
   Status DropIndexes(const std::string& table) override;
-  const TableDef& GetTableDef(const std::string& table) const override;
-  Schema ScanSchema(const std::string& table) const override;
-  bool HasTable(const std::string& table) const override {
-    return tables_.count(table) > 0;
-  }
-
-  std::vector<std::string> ListTables() const override;
-  Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
   TableStats GetTableStats(const std::string& table) const override;
 
  protected:
-  void ScanTable(const ScanRequest& req, ExecStats* stats,
+  void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
 
  private:
+  // Both partitions store scan-schema rows.
   struct Table : TableState {
-    Schema stored_schema;  // user columns + SYS_TIME_START + SYS_TIME_END
     RowTable current;
     RowTable history;
-    // System-created key index on the current partition (DML location and
-    // query access). Survives DropIndexes.
-    HashIndex pk_current;
     IndexSet current_indexes;
     IndexSet history_indexes;
 
-    Table(TableDef d, Schema stored)
-        : TableState(std::move(d)),
-          stored_schema(stored),
-          current(stored),
-          history(stored) {}
+    explicit Table(const TableDef& d)
+        : TableState(d), current(scan_schema), history(scan_schema) {}
   };
 
-  Table* Find(const std::string& name) override;
-  const Table* Find(const std::string& name) const;
+  std::unique_ptr<TableState> NewTable(const TableDef& def) override {
+    return std::make_unique<Table>(def);
+  }
 
   // Version primitives: a version is its RowId in the current partition.
-  void CurrentVersions(TableState* t, const std::vector<Value>& key,
-                       std::vector<VersionRef>* out) override;
   Row ReadVersion(TableState* t, VersionRef v) override;
   // Appends the version to history with the system interval truncated and
   // removes it from the current partition.
   void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
                     DmlKind kind) override;
   // Appends a current version with system interval [ts, forever).
-  void OpenVersion(TableState* t, Row user_row, Timestamp ts,
-                   DmlKind kind) override;
+  VersionRef OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                         DmlKind kind) override;
+  void InstallClosedVersion(TableState* t, Row stored) override;
 
   void ScanPartition(const Table& t, bool is_history, const ScanRequest& req,
                      const TemporalCols& tc, const IndexSet& tuning,
                      const ParallelScanPlan& plan, ExecStats* stats,
                      bool* stopped, const RowCallback& cb);
-
-  std::unordered_map<std::string, Table> tables_;
 };
 
 }  // namespace bih

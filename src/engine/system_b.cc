@@ -4,42 +4,8 @@
 
 namespace bih {
 
-namespace {
-
-Schema StoredSchema(const TableDef& def) {
-  return def.schema.Extend({{"SYS_TIME_START", ColumnType::kTimestamp},
-                            {"SYS_TIME_END", ColumnType::kTimestamp}});
-}
-
-Schema HistorySchema(const TableDef& def) {
-  return def.schema.Extend({{"SYS_TIME_START", ColumnType::kTimestamp},
-                            {"SYS_TIME_END", ColumnType::kTimestamp},
-                            {"TXN_ID", ColumnType::kInt},
-                            {"STMT_TYPE", ColumnType::kInt}});
-}
-
-}  // namespace
-
-SystemBEngine::Table* SystemBEngine::Find(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-const SystemBEngine::Table* SystemBEngine::Find(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-Status SystemBEngine::DoCreateTable(const TableDef& def) {
-  if (tables_.count(def.name)) {
-    return Status::AlreadyExists("table " + def.name);
-  }
-  tables_.emplace(def.name, Table(def, StoredSchema(def), HistorySchema(def)));
-  return Status::OK();
-}
-
 Status SystemBEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = Find(spec.table);
+  Table* t = static_cast<Table*>(Find(spec.table));
   if (t == nullptr) return Status::NotFound("table " + spec.table);
   if (spec.type == IndexType::kRTree) {
     return Status::Unimplemented("System B supports only B-tree indexes");
@@ -66,23 +32,11 @@ Status SystemBEngine::CreateIndex(const IndexSpec& spec) {
 }
 
 Status SystemBEngine::DropIndexes(const std::string& table) {
-  Table* t = Find(table);
+  Table* t = static_cast<Table*>(Find(table));
   if (t == nullptr) return Status::NotFound("table " + table);
   t->current_indexes.Clear();
   t->history_indexes.Clear();
   return Status::OK();
-}
-
-const TableDef& SystemBEngine::GetTableDef(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->def;
-}
-
-Schema SystemBEngine::ScanSchema(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->stored_schema;
 }
 
 Row SystemBEngine::StoredRowOf(const Table& t, RowId rid) const {
@@ -94,21 +48,14 @@ Row SystemBEngine::StoredRowOf(const Table& t, RowId rid) const {
   return row;
 }
 
-void SystemBEngine::CurrentVersions(TableState* t,
-                                    const std::vector<Value>& key,
-                                    std::vector<VersionRef>* out) {
-  static_cast<Table*>(t)->pk_current.Lookup(key, [&](RowId rid) {
-    out->push_back(rid);
-    return true;
-  });
-}
-
 Row SystemBEngine::ReadVersion(TableState* t, VersionRef v) {
   return static_cast<Table*>(t)->current.Get(v);
 }
 
-void SystemBEngine::OpenVersion(TableState* state, Row user_row, Timestamp ts,
-                                DmlKind kind) {
+TemporalEngine::VersionRef SystemBEngine::OpenVersion(TableState* state,
+                                                      Row user_row,
+                                                      Timestamp ts,
+                                                      DmlKind kind) {
   Table* t = static_cast<Table*>(state);
   RowId rid = t->current.Append(std::move(user_row));
   VersionMeta meta;
@@ -118,11 +65,10 @@ void SystemBEngine::OpenVersion(TableState* state, Row user_row, Timestamp ts,
   meta.stmt_type = kind;
   t->versions.push_back(meta);
   t->version_slot[rid] = t->versions.size() - 1;
-  const Row& stored = t->current.Get(rid);
-  t->pk_current.Insert(PrimaryKeyOf(t->def, stored), rid);
   if (!t->current_indexes.empty()) {
     t->current_indexes.OnInsert(StoredRowOf(*t, rid), rid);
   }
+  return rid;
 }
 
 void SystemBEngine::CloseVersion(TableState* state, VersionRef rid,
@@ -146,7 +92,6 @@ void SystemBEngine::CloseVersion(TableState* state, VersionRef rid,
   } else if (!t->current_indexes.empty()) {
     t->current_indexes.OnDelete(StoredRowOf(*t, rid), rid);
   }
-  t->pk_current.Erase(PrimaryKeyOf(t->def, t->current.Get(rid)), rid);
   t->current.Delete(rid);
   meta.row_ref = kInvalidRowId;
   t->version_slot.erase(it);
@@ -240,10 +185,9 @@ void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
   ScanSlots(plan, t->current.SlotCount(), sink, visit);
 }
 
-void SystemBEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
-                              const RowCallback& cb) {
-  Table* t = Find(req.table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
+void SystemBEngine::ScanTable(TableState* state, const ScanRequest& req,
+                              ExecStats* stats, const RowCallback& cb) {
+  Table* t = static_cast<Table*>(state);
   const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
   const int64_t now = clock_.Now().micros();
   const ParallelScanPlan plan = ResolveScanPlan(req.exec);
@@ -296,7 +240,7 @@ void SystemBEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
   if (!stopped) {
     ++stats->partitions_touched;
     stats->touched_history = true;
-    const int scan_width = t->stored_schema.num_columns();
+    const int scan_width = t->scan_schema.num_columns();
     auto visit = [&, row = Row()](RowId rid, auto& sink) mutable -> bool {
       if (!t->history.IsLive(rid)) return true;
       if (!sink.Examine()) return false;
@@ -321,49 +265,21 @@ void SystemBEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
 }
 
 void SystemBEngine::PrepareForReads() {
-  for (auto& [name, t] : tables_) FlushUndo(&t);
+  ForEachTable([this](TableState* t) { FlushUndo(static_cast<Table*>(t)); });
 }
 
-std::vector<std::string> SystemBEngine::ListTables() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, t] : tables_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-Status SystemBEngine::DoInstallVersion(const std::string& table,
-                                       const Row& stored) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(stored.size()) != t->stored_schema.num_columns()) {
-    return Status::InvalidArgument("snapshot row arity mismatch for " + table);
+void SystemBEngine::InstallClosedVersion(TableState* state, Row stored) {
+  Table* t = static_cast<Table*>(state);
+  stored.push_back(Value(static_cast<int64_t>(0)));  // TXN_ID
+  stored.push_back(Value(static_cast<int64_t>(0)));  // STMT_TYPE
+  RowId hid = t->history.Append(std::move(stored));
+  if (!t->history_indexes.empty()) {
+    t->history_indexes.OnInsert(t->history.Get(hid), hid);
   }
-  const size_t user_cols = static_cast<size_t>(t->def.schema.num_columns());
-  const int64_t sys_from = stored[user_cols].AsInt();
-  const int64_t sys_to = stored[user_cols + 1].AsInt();
-  if (sys_to == Period::kForever) {
-    Row user_row(stored.begin(), stored.begin() + static_cast<long>(user_cols));
-    OpenVersion(t, std::move(user_row), Timestamp(sys_from), DmlKind::kInsert);
-  } else {
-    // Closed versions go straight to the history partition. The metadata
-    // columns are zeroed: a restored store has no live transaction ids, and
-    // scans never emit them (the scan schema stops at SYS_TIME_END).
-    Row hist(stored.begin(), stored.begin() + static_cast<long>(user_cols));
-    hist.push_back(Value(sys_from));
-    hist.push_back(Value(sys_to));
-    hist.push_back(Value(static_cast<int64_t>(0)));  // TXN_ID
-    hist.push_back(Value(static_cast<int64_t>(0)));  // STMT_TYPE
-    RowId hid = t->history.Append(std::move(hist));
-    if (!t->history_indexes.empty()) {
-      t->history_indexes.OnInsert(t->history.Get(hid), hid);
-    }
-  }
-  return Status::OK();
 }
 
 TableStats SystemBEngine::GetTableStats(const std::string& table) const {
-  const Table* t = Find(table);
+  const Table* t = static_cast<const Table*>(Find(table));
   BIH_CHECK_MSG(t != nullptr, "no table " + table);
   TableStats s;
   s.current_rows = t->current.LiveCount();

@@ -1,6 +1,7 @@
 #ifndef TPCBIH_ENGINE_SYSTEM_B_H_
 #define TPCBIH_ENGINE_SYSTEM_B_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -9,7 +10,6 @@
 #include "engine/index_set.h"
 #include "engine/scan_util.h"
 #include "exec/parallel.h"
-#include "storage/hash_index.h"
 #include "storage/row_table.h"
 
 namespace bih {
@@ -36,17 +36,8 @@ class SystemBEngine : public TemporalEngine {
 
   std::string name() const override { return "SystemB"; }
 
-  Status DoCreateTable(const TableDef& def) override;
   Status CreateIndex(const IndexSpec& spec) override;
   Status DropIndexes(const std::string& table) override;
-  const TableDef& GetTableDef(const std::string& table) const override;
-  Schema ScanSchema(const std::string& table) const override;
-  bool HasTable(const std::string& table) const override {
-    return tables_.count(table) > 0;
-  }
-
-  std::vector<std::string> ListTables() const override;
-  Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
   TableStats GetTableStats(const std::string& table) const override;
 
@@ -55,7 +46,7 @@ class SystemBEngine : public TemporalEngine {
   void PrepareForReads() override;
 
  protected:
-  void ScanTable(const ScanRequest& req, ExecStats* stats,
+  void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
 
  private:
@@ -68,43 +59,42 @@ class SystemBEngine : public TemporalEngine {
   };
 
   struct Table : TableState {
-    Schema stored_schema;   // scan schema: user + sys interval
-    Schema history_schema;  // user + sys interval + txn metadata
     RowTable current;       // user columns only
     // Vertical partition. Kept in *update order*, not row order: every
     // update re-appends the row's metadata record, so reconstruction really
     // has to sort (Section 5.3.1 attributes B's overhead to this join).
     std::vector<VersionMeta> versions;
     std::unordered_map<RowId, size_t> version_slot;  // row -> versions index
+    // Scan-schema columns followed by TXN_ID and STMT_TYPE.
     RowTable history;
     std::vector<Row> undo_log;  // closed versions awaiting the writer
-    HashIndex pk_current;
     IndexSet current_indexes;   // indexed over scan-schema rows
     IndexSet history_indexes;
 
-    Table(TableDef d, Schema stored, Schema hist)
-        : TableState(std::move(d)),
-          stored_schema(stored),
-          history_schema(hist),
+    explicit Table(const TableDef& d)
+        : TableState(d),
           current(def.schema),
-          history(hist) {}
+          history(scan_schema.Extend({{"TXN_ID", ColumnType::kInt},
+                                      {"STMT_TYPE", ColumnType::kInt}})) {}
   };
 
-  Table* Find(const std::string& name) override;
-  const Table* Find(const std::string& name) const;
+  std::unique_ptr<TableState> NewTable(const TableDef& def) override {
+    return std::make_unique<Table>(def);
+  }
 
   Row StoredRowOf(const Table& t, RowId rid) const;
 
   // Version primitives: a version is its RowId in the current partition.
-  void CurrentVersions(TableState* t, const std::vector<Value>& key,
-                       std::vector<VersionRef>* out) override;
   Row ReadVersion(TableState* t, VersionRef v) override;
   // Queues the closed version, with its metadata, on the undo log.
   void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
                     DmlKind kind) override;
   // Appends the user row and its metadata record.
-  void OpenVersion(TableState* t, Row user_row, Timestamp ts,
-                   DmlKind kind) override;
+  VersionRef OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                         DmlKind kind) override;
+  // Restored closed versions carry zeroed metadata: a restored store has
+  // no live transaction ids, and scans never emit them.
+  void InstallClosedVersion(TableState* t, Row stored) override;
   // Advances the statement counter recorded as TXN_ID.
   void EndStatement(TableState* t) override;
   void FlushUndo(Table* t);
@@ -115,7 +105,6 @@ class SystemBEngine : public TemporalEngine {
                                      ExecStats* stats, bool* stopped,
                                      const RowCallback& cb);
 
-  std::unordered_map<std::string, Table> tables_;
   int64_t next_txn_id_ = 1;
 };
 

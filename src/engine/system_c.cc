@@ -4,37 +4,8 @@
 
 namespace bih {
 
-namespace {
-
-Schema StoredSchema(const TableDef& def) {
-  // The hidden system-time columns; exposed in the scan schema at the same
-  // positions other engines expose SYS_TIME_START/SYS_TIME_END.
-  return def.schema.Extend({{"VALID_FROM", ColumnType::kTimestamp},
-                            {"VALID_TO", ColumnType::kTimestamp}});
-}
-
-}  // namespace
-
-SystemCEngine::Table* SystemCEngine::Find(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-const SystemCEngine::Table* SystemCEngine::Find(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-Status SystemCEngine::DoCreateTable(const TableDef& def) {
-  if (tables_.count(def.name)) {
-    return Status::AlreadyExists("table " + def.name);
-  }
-  tables_.emplace(def.name, Table(def, StoredSchema(def)));
-  return Status::OK();
-}
-
 Status SystemCEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = Find(spec.table);
+  Table* t = static_cast<Table*>(Find(spec.table));
   if (t == nullptr) return Status::NotFound("table " + spec.table);
   if (spec.type == IndexType::kRTree) {
     return Status::Unimplemented("System C supports only B-tree indexes");
@@ -47,31 +18,10 @@ Status SystemCEngine::CreateIndex(const IndexSpec& spec) {
 }
 
 Status SystemCEngine::DropIndexes(const std::string& table) {
-  Table* t = Find(table);
+  Table* t = static_cast<Table*>(Find(table));
   if (t == nullptr) return Status::NotFound("table " + table);
   t->ignored_indexes.clear();
   return Status::OK();
-}
-
-const TableDef& SystemCEngine::GetTableDef(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->def;
-}
-
-Schema SystemCEngine::ScanSchema(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->stored_schema;
-}
-
-void SystemCEngine::CurrentVersions(TableState* state,
-                                    const std::vector<Value>& key,
-                                    std::vector<VersionRef>* out) {
-  const Table* t = static_cast<Table*>(state);
-  auto it = t->current_by_key.find(key);
-  if (it == t->current_by_key.end()) return;
-  for (const Loc& loc : it->second) out->push_back(RefOf(loc));
 }
 
 Row SystemCEngine::ReadVersion(TableState* t, VersionRef v) {
@@ -84,14 +34,14 @@ Row SystemCEngine::ReadVersion(TableState* t, VersionRef v) {
   return row;
 }
 
-void SystemCEngine::OpenVersion(TableState* state, Row user_row, Timestamp ts,
-                                DmlKind /*kind*/) {
+TemporalEngine::VersionRef SystemCEngine::OpenVersion(TableState* state,
+                                                      Row user_row,
+                                                      Timestamp ts,
+                                                      DmlKind /*kind*/) {
   Table* t = static_cast<Table*>(state);
   user_row.emplace_back(ts);
   user_row.emplace_back(Period::kForever);
-  RowId rid = t->delta.Append(user_row);
-  t->current_by_key[PrimaryKeyOf(t->def, user_row)].push_back(
-      Loc{Part::kDelta, rid});
+  return RefOf(Loc{Part::kDelta, t->delta.Append(user_row)});
 }
 
 void SystemCEngine::CloseVersion(TableState* state, VersionRef v, Timestamp ts,
@@ -99,7 +49,7 @@ void SystemCEngine::CloseVersion(TableState* state, VersionRef v, Timestamp ts,
   Table* t = static_cast<Table*>(state);
   const Loc loc = LocOf(v);
   ColumnTable* part = PartOf(t, loc.part);
-  const int vt_col = t->stored_schema.num_columns() - 1;
+  const int vt_col = t->scan_schema.num_columns() - 1;
   const int vf_col = vt_col - 1;
   if (part->Get(loc.rid, vf_col).AsInt() == ts.micros()) {
     // Opened by the same transaction: physically drop instead of keeping a
@@ -108,17 +58,6 @@ void SystemCEngine::CloseVersion(TableState* state, VersionRef v, Timestamp ts,
   } else {
     part->Set(loc.rid, vt_col, Value(ts));
   }
-  IndexKey key;
-  for (int c : t->def.primary_key) key.push_back(part->Get(loc.rid, c));
-  auto it = t->current_by_key.find(key);
-  BIH_CHECK(it != t->current_by_key.end());
-  auto& locs = it->second;
-  locs.erase(std::remove_if(locs.begin(), locs.end(),
-                            [&](const Loc& l) {
-                              return l.part == loc.part && l.rid == loc.rid;
-                            }),
-             locs.end());
-  if (locs.empty()) t->current_by_key.erase(it);
 }
 
 void SystemCEngine::EndStatement(TableState* state) {
@@ -127,24 +66,19 @@ void SystemCEngine::EndStatement(TableState* state) {
 }
 
 void SystemCEngine::MergeTable(Table* t) {
-  const int vt_col = t->stored_schema.num_columns() - 1;
+  const int vt_col = t->scan_schema.num_columns() - 1;
   // Move delta rows: visible versions to main, invalidated ones straight to
-  // history. Row ids change; patch the key map as we go.
+  // history. Row ids change; re-point the key index in place, so each key
+  // keeps the order of its versions.
   t->delta.Scan([&](RowId old_rid, const Row& row) {
     const Value& vt = row[static_cast<size_t>(vt_col)];
     const bool open = !vt.is_null() && vt.AsInt() == Period::kForever;
     if (open) {
-      RowId new_rid = t->main.Append(row);
-      IndexKey key = PrimaryKeyOf(t->def, row);
-      auto it = t->current_by_key.find(key);
-      BIH_CHECK(it != t->current_by_key.end());
-      for (Loc& l : it->second) {
-        if (l.part == Part::kDelta && l.rid == old_rid) {
-          l.part = Part::kMain;
-          l.rid = new_rid;
-          break;
-        }
-      }
+      const RowId new_rid = t->main.Append(row);
+      const bool moved = t->pk_current.Replace(
+          PrimaryKeyOf(t->def, row), RefOf(Loc{Part::kDelta, old_rid}),
+          RefOf(Loc{Part::kMain, new_rid}));
+      BIH_CHECK(moved);
     } else {
       t->history.Append(row);
     }
@@ -164,7 +98,7 @@ void SystemCEngine::MergeTable(Table* t) {
 }
 
 void SystemCEngine::Maintain() {
-  for (auto& [name, t] : tables_) MergeTable(&t);
+  ForEachTable([this](TableState* t) { MergeTable(static_cast<Table*>(t)); });
 }
 
 void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
@@ -176,7 +110,7 @@ void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
   ++stats->partitions_touched;
   if (is_history) stats->touched_history = true;
   const int64_t now = clock_.Now().micros();
-  const int ncols = t.stored_schema.num_columns();
+  const int ncols = t.scan_schema.num_columns();
 
   // Columns that predicates read; fetched before materialization so a scan
   // touches only the filter columns of non-qualifying rows — the column
@@ -224,10 +158,9 @@ void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
   ScanSlots(plan, part.SlotCount(), sink, std::move(visit));
 }
 
-void SystemCEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
-                              const RowCallback& cb) {
-  Table* t = Find(req.table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
+void SystemCEngine::ScanTable(TableState* state, const ScanRequest& req,
+                              ExecStats* stats, const RowCallback& cb) {
+  Table* t = static_cast<Table*>(state);
   const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
   const ParallelScanPlan plan = ResolveScanPlan(req.exec);
   bool stopped = false;
@@ -244,38 +177,12 @@ void SystemCEngine::ScanTable(const ScanRequest& req, ExecStats* stats,
   }
 }
 
-std::vector<std::string> SystemCEngine::ListTables() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, t] : tables_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-Status SystemCEngine::DoInstallVersion(const std::string& table,
-                                       const Row& stored) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(stored.size()) != t->stored_schema.num_columns()) {
-    return Status::InvalidArgument("snapshot row arity mismatch for " + table);
-  }
-  const size_t user_cols = static_cast<size_t>(t->def.schema.num_columns());
-  const int64_t sys_from = stored[user_cols].AsInt();
-  const bool open = stored[user_cols + 1].AsInt() == Period::kForever;
-  if (open) {
-    Row user_row(stored.begin(), stored.begin() + static_cast<long>(user_cols));
-    OpenVersion(t, std::move(user_row), Timestamp(sys_from), DmlKind::kInsert);
-    EndStatement(t);  // the delta->main merge check
-  } else {
-    // Invalidated versions land in history directly; they never pass
-    // through delta, so no key-map maintenance is needed.
-    t->history.Append(stored);
-  }
-  return Status::OK();
+void SystemCEngine::InstallClosedVersion(TableState* t, Row stored) {
+  static_cast<Table*>(t)->history.Append(stored);
 }
 
 TableStats SystemCEngine::GetTableStats(const std::string& table) const {
-  const Table* t = Find(table);
+  const Table* t = static_cast<const Table*>(Find(table));
   BIH_CHECK_MSG(t != nullptr, "no table " + table);
   TableStats s;
   s.current_rows = t->delta.LiveCount() + t->main.LiveCount();

@@ -1,8 +1,8 @@
 #ifndef TPCBIH_ENGINE_SYSTEM_C_H_
 #define TPCBIH_ENGINE_SYSTEM_C_H_
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
@@ -34,17 +34,8 @@ class SystemCEngine : public TemporalEngine {
   std::string name() const override { return "SystemC"; }
   bool native_app_time() const override { return false; }
 
-  Status DoCreateTable(const TableDef& def) override;
   Status CreateIndex(const IndexSpec& spec) override;
   Status DropIndexes(const std::string& table) override;
-  const TableDef& GetTableDef(const std::string& table) const override;
-  Schema ScanSchema(const std::string& table) const override;
-  bool HasTable(const std::string& table) const override {
-    return tables_.count(table) > 0;
-  }
-
-  std::vector<std::string> ListTables() const override;
-  Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
   TableStats GetTableStats(const std::string& table) const override;
 
@@ -52,7 +43,7 @@ class SystemCEngine : public TemporalEngine {
   void Maintain() override;
 
  protected:
-  void ScanTable(const ScanRequest& req, ExecStats* stats,
+  void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
 
  private:
@@ -62,7 +53,9 @@ class SystemCEngine : public TemporalEngine {
     Part part;
     RowId rid;
   };
-  // A VersionRef packs a Loc: rid in the high bits, part in bit 0.
+  // A VersionRef packs a Loc: rid in the high bits, part in bit 0. The
+  // base's pk_current holds these packed refs, so it plays the column
+  // store's dictionary-based key access; the merge re-points them.
   static VersionRef RefOf(const Loc& l) {
     return (l.rid << 1) | static_cast<VersionRef>(l.part);
   }
@@ -70,40 +63,24 @@ class SystemCEngine : public TemporalEngine {
     return Loc{static_cast<Part>(v & 1), v >> 1};
   }
 
-  struct KeyHash {
-    size_t operator()(const IndexKey& k) const {
-      size_t h = 0x345678;
-      for (const Value& v : k) h = h * 1000003ULL ^ v.Hash();
-      return h;
-    }
-  };
-  struct KeyEq {
-    bool operator()(const IndexKey& a, const IndexKey& b) const {
-      return CompareKeys(a, b) == 0;
-    }
-  };
-
+  // The hidden system-time columns VALID_FROM/VALID_TO sit at the scan
+  // schema positions other engines expose SYS_TIME_START/SYS_TIME_END.
   struct Table : TableState {
-    Schema stored_schema;  // user columns + VALID_FROM + VALID_TO
     ColumnTable delta;
     ColumnTable main;
     ColumnTable history;
-    // Inverted index on the key columns, like the column store's dictionary
-    // based key access; maps a key to its visible versions.
-    std::unordered_map<IndexKey, std::vector<Loc>, KeyHash, KeyEq> current_by_key;
     std::vector<std::string> ignored_indexes;  // accepted but unused
 
-    Table(TableDef d, Schema stored)
-        : TableState(std::move(d)),
-          delta(stored),
-          main(stored),
-          history(stored) {
-      stored_schema = stored;
-    }
+    explicit Table(const TableDef& d)
+        : TableState(d, "VALID_FROM", "VALID_TO"),
+          delta(scan_schema),
+          main(scan_schema),
+          history(scan_schema) {}
   };
 
-  Table* Find(const std::string& name) override;
-  const Table* Find(const std::string& name) const;
+  std::unique_ptr<TableState> NewTable(const TableDef& def) override {
+    return std::make_unique<Table>(def);
+  }
 
   ColumnTable* PartOf(Table* t, Part p) {
     return p == Part::kDelta ? &t->delta : &t->main;
@@ -112,15 +89,15 @@ class SystemCEngine : public TemporalEngine {
   void MergeTable(Table* t);
 
   // Version primitives: a version is its packed Loc in delta or main.
-  void CurrentVersions(TableState* t, const std::vector<Value>& key,
-                       std::vector<VersionRef>* out) override;
   Row ReadVersion(TableState* t, VersionRef v) override;
   // Sets VALID_TO in place; relocation to history waits for the merge.
   void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
                     DmlKind kind) override;
   // Appends to the write-optimized delta.
-  void OpenVersion(TableState* t, Row user_row, Timestamp ts,
-                   DmlKind kind) override;
+  VersionRef OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                         DmlKind kind) override;
+  // Invalidated versions land in history directly, never passing delta.
+  void InstallClosedVersion(TableState* t, Row stored) override;
   // Merges once the delta reaches kMergeThreshold.
   void EndStatement(TableState* t) override;
 
@@ -128,8 +105,6 @@ class SystemCEngine : public TemporalEngine {
                      const ScanRequest& req, const TemporalCols& tc,
                      const ParallelScanPlan& plan, ExecStats* stats,
                      bool* stopped, const RowCallback& cb);
-
-  std::unordered_map<std::string, Table> tables_;
 };
 
 }  // namespace bih

@@ -1,15 +1,14 @@
 #ifndef TPCBIH_ENGINE_SYSTEM_D_H_
 #define TPCBIH_ENGINE_SYSTEM_D_H_
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
 #include "engine/index_set.h"
 #include "engine/scan_util.h"
 #include "exec/parallel.h"
-#include "storage/hash_index.h"
 #include "storage/row_table.h"
 
 namespace bih {
@@ -27,54 +26,42 @@ class SystemDEngine : public TemporalEngine {
   std::string name() const override { return "SystemD"; }
   bool native_app_time() const override { return false; }
 
-  Status DoCreateTable(const TableDef& def) override;
   Status CreateIndex(const IndexSpec& spec) override;
   Status DropIndexes(const std::string& table) override;
-  const TableDef& GetTableDef(const std::string& table) const override;
-  Schema ScanSchema(const std::string& table) const override;
-  bool HasTable(const std::string& table) const override {
-    return tables_.count(table) > 0;
-  }
 
   Status DoBulkLoad(const std::string& table, std::vector<Row> rows) override;
-
-  std::vector<std::string> ListTables() const override;
-  Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
   TableStats GetTableStats(const std::string& table) const override;
 
  protected:
-  void ScanTable(const ScanRequest& req, ExecStats* stats,
+  void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
 
  private:
+  // One table of scan-schema rows. The base's pk_current plays the
+  // application-side bookkeeping of the visible versions per key that the
+  // paper says non-temporal deployments must implement themselves; query
+  // planning never consults it.
   struct Table : TableState {
-    Schema stored_schema;  // user columns + SYS_TIME_START + SYS_TIME_END
     RowTable data;
-    // Application-side bookkeeping of the visible versions per key; plays
-    // the role of the app logic the paper says non-temporal deployments
-    // must implement themselves. Not consulted by query planning.
-    HashIndex current_by_key;
     IndexSet indexes;
 
-    Table(TableDef d, Schema stored)
-        : TableState(std::move(d)), stored_schema(stored), data(stored) {}
+    explicit Table(const TableDef& d) : TableState(d), data(scan_schema) {}
   };
 
-  Table* Find(const std::string& name) override;
-  const Table* Find(const std::string& name) const;
+  std::unique_ptr<TableState> NewTable(const TableDef& def) override {
+    return std::make_unique<Table>(def);
+  }
 
   // Version primitives: a version is its RowId; closing it sets
   // SYS_TIME_END in place.
-  void CurrentVersions(TableState* t, const std::vector<Value>& key,
-                       std::vector<VersionRef>* out) override;
   Row ReadVersion(TableState* t, VersionRef v) override;
   void CloseVersion(TableState* t, VersionRef v, Timestamp ts,
                     DmlKind kind) override;
-  void OpenVersion(TableState* t, Row user_row, Timestamp ts,
-                   DmlKind kind) override;
-
-  std::unordered_map<std::string, Table> tables_;
+  VersionRef OpenVersion(TableState* t, Row user_row, Timestamp ts,
+                         DmlKind kind) override;
+  // The single-table layout stores scan-schema rows verbatim.
+  void InstallClosedVersion(TableState* t, Row stored) override;
 };
 
 }  // namespace bih

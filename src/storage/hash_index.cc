@@ -21,6 +21,15 @@ bool HashIndex::Erase(const IndexKey& key, RowId rid) {
   return true;
 }
 
+bool HashIndex::Replace(const IndexKey& key, RowId from, RowId to) {
+  auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  auto pos = std::find(it->second.begin(), it->second.end(), from);
+  if (pos == it->second.end()) return false;
+  *pos = to;
+  return true;
+}
+
 void HashIndex::Lookup(const IndexKey& key,
                        const std::function<bool(RowId)>& fn) const {
   auto it = map_.find(key);

@@ -17,6 +17,9 @@ class HashIndex {
  public:
   void Insert(const IndexKey& key, RowId rid);
   bool Erase(const IndexKey& key, RowId rid);
+  // Re-points the entry (key, from) to `to` in place, keeping its position
+  // among the key's entries; false when there is no such entry.
+  bool Replace(const IndexKey& key, RowId from, RowId to);
   void Lookup(const IndexKey& key, const std::function<bool(RowId)>& fn) const;
   size_t size() const { return size_; }
 
