@@ -54,12 +54,4 @@ std::string Value::ToString() const {
   return AsString();
 }
 
-size_t HashRowKey(const Row& row, const std::vector<int>& cols) {
-  size_t h = 0x345678;
-  for (int c : cols) {
-    h = h * 1000003ULL ^ row[static_cast<size_t>(c)].Hash();
-  }
-  return h;
-}
-
 }  // namespace bih

@@ -67,9 +67,6 @@ class Value {
 
 using Row = std::vector<Value>;
 
-// Hash of a subset of row columns; used by hash join/aggregation.
-size_t HashRowKey(const Row& row, const std::vector<int>& cols);
-
 }  // namespace bih
 
 #endif  // TPCBIH_COMMON_VALUE_H_

@@ -355,15 +355,16 @@ Rows MergeJoinKernel(const Rows& left, const Rows& right,
                      const std::vector<int>& left_keys,
                      const std::vector<int>& right_keys,
                      const ExprPtr& residual, QueryContext* ctx,
-                     const ParallelScanPlan& plan, bool* interrupted) {
+                     const ParallelScanPlan& plan) {
   std::vector<uint64_t> lorder(left.size());
   std::vector<uint64_t> rorder(right.size());
   std::iota(lorder.begin(), lorder.end(), 0);
   std::iota(rorder.begin(), rorder.end(), 0);
-  SortOrderByKeys(&lorder, left, left_keys, plan, ctx, interrupted);
-  if (*interrupted) return {};
-  SortOrderByKeys(&rorder, right, right_keys, plan, ctx, interrupted);
-  if (*interrupted) return {};
+  bool interrupted = false;
+  SortOrderByKeys(&lorder, left, left_keys, plan, ctx, &interrupted);
+  if (interrupted) return {};
+  SortOrderByKeys(&rorder, right, right_keys, plan, ctx, &interrupted);
+  if (interrupted) return {};
 
   const uint64_t n = lorder.size();
   if (!plan.Engage(n)) {
@@ -371,7 +372,6 @@ Rows MergeJoinKernel(const Rows& left, const Rows& right,
     const std::atomic<bool> no_stop{false};
     MergeJoinEmitRuns(left, right, lorder, rorder, left_keys, right_keys,
                       residual, 0, n, MorselStop(no_stop, ctx), &out);
-    if (ctx != nullptr && !ctx->status().ok()) *interrupted = true;
     return out;
   }
   std::vector<Rows> buffers(PlanMorselCount(plan, n));
@@ -382,7 +382,6 @@ Rows MergeJoinKernel(const Rows& left, const Rows& right,
                                              left_keys, right_keys, residual,
                                              begin, end, stop, &buffers[m]);
                          })) {
-    *interrupted = true;
     return {};
   }
   Rows out;
@@ -532,8 +531,7 @@ Rows SerialAggregateKernel(const Rows& in, const std::vector<int>& group_cols,
 Rows ParallelAggregateKernel(const Rows& in,
                              const std::vector<int>& group_cols,
                              const std::vector<AggSpec>& aggs,
-                             QueryContext* ctx, const ParallelScanPlan& plan,
-                             bool* interrupted) {
+                             QueryContext* ctx, const ParallelScanPlan& plan) {
   std::vector<GroupTable<std::vector<double>>> partials(
       PlanMorselCount(plan, in.size()));
   if (!ParallelMorselRun(plan, in.size(), ctx,
@@ -545,7 +543,6 @@ Rows ParallelAggregateKernel(const Rows& in,
                                            &partials[m]);
                            }
                          })) {
-    *interrupted = true;
     return {};
   }
 
@@ -667,11 +664,10 @@ struct Executor {
         Rows left, right;
         BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
         BIH_RETURN_IF_ERROR(Run(*n.children[1], &right));
-        bool interrupted = false;
         const ParallelScanPlan plan =
             ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
         *out = MergeJoinKernel(left, right, n.left_keys, n.right_keys,
-                               n.predicate, ctx, plan, &interrupted);
+                               n.predicate, ctx, plan);
         break;
       }
       case PlanNode::Kind::kAggregate: {
@@ -680,9 +676,7 @@ struct Executor {
         const ParallelScanPlan plan =
             ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
         if (plan.Engage(in.size())) {
-          bool interrupted = false;
-          *out = ParallelAggregateKernel(in, n.group_cols, n.aggs, ctx, plan,
-                                         &interrupted);
+          *out = ParallelAggregateKernel(in, n.group_cols, n.aggs, ctx, plan);
         } else {
           *out = SerialAggregateKernel(in, n.group_cols, n.aggs, ctx);
         }
