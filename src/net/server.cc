@@ -281,7 +281,8 @@ ExecOptions Server::QueryExecOptions(const Connection& conn) const {
   return opts;
 }
 
-void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
+void Server::RunRequest(Connection& conn, const Message& in, Message* reply,
+                        const std::function<Status(QueryContext*)>& body) {
   BumpStat(&NetServerStats::queries);
   reply->type = MsgType::kError;
   if (conn.tenant == nullptr) {
@@ -301,27 +302,13 @@ void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
     conn.active = &ctx;
     conn.active_request_id = in.request_id;
   }
-  sql::SqlResult result;
   // Tenant quota first (bounded queue, fail-fast shedding), then the
-  // session's global admission inside ReadTxn. The wait in either queue
-  // honours ctx, so a cancel or deadline never leaves a thread parked.
+  // session's global admission inside the body's ReadTxn. The wait in
+  // either queue honours ctx, so a cancel or deadline never leaves a thread
+  // parked.
   Status s = conn.tenant->admission().Admit(&ctx);
   if (s.ok()) {
-    if (sql::LooksLikeDml(in.text)) {
-      // Writes serialize on the session's writer lock and do not carry a
-      // context inside; check the budget at the last gate before queueing.
-      s = ctx.CheckNow();
-      if (s.ok()) {
-        s = session_->Write([&](TemporalEngine& eng) {
-          return sql::ExecuteSql(eng, in.text, &result, &ctx);
-        });
-      }
-    } else {
-      const ExecOptions opts = QueryExecOptions(conn);
-      s = session_->ReadTxn(&ctx, [&](TemporalEngine& eng) {
-        return sql::ExecuteSql(eng, in.text, &result, &ctx, opts);
-      });
-    }
+    s = body(&ctx);
     conn.tenant->admission().Release();
   }
   {
@@ -330,12 +317,7 @@ void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
     conn.active_request_id = 0;
   }
   conn.tenant->Account(s);
-  if (s.ok()) {
-    reply->type = MsgType::kResult;
-    reply->columns = std::move(result.columns);
-    reply->rows = std::move(result.rows);
-    return;
-  }
+  if (s.ok()) return;
   reply->type = MsgType::kError;
   reply->status_code = static_cast<uint8_t>(s.code());
   reply->text = s.message();
@@ -343,49 +325,44 @@ void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
   reply->retry_after_ms = AdmissionController::RetryAfterMs(s);
 }
 
+void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
+  RunRequest(conn, in, reply, [&](QueryContext* ctx) {
+    sql::SqlResult result;
+    Status s;
+    if (sql::LooksLikeDml(in.text)) {
+      // Writes serialize on the session's writer lock and do not carry a
+      // context inside; check the budget at the last gate before queueing.
+      s = ctx->CheckNow();
+      if (s.ok()) {
+        s = session_->Write([&](TemporalEngine& eng) {
+          return sql::ExecuteSql(eng, in.text, &result, ctx);
+        });
+      }
+    } else {
+      const ExecOptions opts = QueryExecOptions(conn);
+      s = session_->ReadTxn(ctx, [&](TemporalEngine& eng) {
+        return sql::ExecuteSql(eng, in.text, &result, ctx, opts);
+      });
+    }
+    if (s.ok()) {
+      reply->type = MsgType::kResult;
+      reply->columns = std::move(result.columns);
+      reply->rows = std::move(result.rows);
+    }
+    return s;
+  });
+}
+
 void Server::HandleExplain(Connection& conn, const Message& in,
                            Message* reply) {
-  BumpStat(&NetServerStats::queries);
-  reply->type = MsgType::kError;
-  if (conn.tenant == nullptr) {
-    reply->status_code = static_cast<uint8_t>(Status::Code::kInvalidArgument);
-    reply->text = "no session: send Hello first";
-    return;
-  }
-  QueryContext ctx =
-      in.deadline_ms > 0
-          ? QueryContext::WithTimeout(std::chrono::milliseconds(in.deadline_ms))
-          : QueryContext();
-  {
-    MutexLock lock(conn.mu);
-    conn.active = &ctx;
-    conn.active_request_id = in.request_id;
-  }
-  std::string json;
-  Status s = conn.tenant->admission().Admit(&ctx);
-  if (s.ok()) {
+  RunRequest(conn, in, reply, [&](QueryContext* ctx) {
     const ExecOptions opts = QueryExecOptions(conn);
-    s = session_->ReadTxn(&ctx, [&](TemporalEngine& eng) {
-      return sql::Explain(eng, in.text, &json, &ctx, opts);
+    Status s = session_->ReadTxn(ctx, [&](TemporalEngine& eng) {
+      return sql::Explain(eng, in.text, &reply->text, ctx, opts);
     });
-    conn.tenant->admission().Release();
-  }
-  {
-    MutexLock lock(conn.mu);
-    conn.active = nullptr;
-    conn.active_request_id = 0;
-  }
-  conn.tenant->Account(s);
-  if (s.ok()) {
-    reply->type = MsgType::kExplainReply;
-    reply->text = std::move(json);
-    return;
-  }
-  reply->type = MsgType::kError;
-  reply->status_code = static_cast<uint8_t>(s.code());
-  reply->text = s.message();
-  reply->retry_hint = s.retry_hint();
-  reply->retry_after_ms = AdmissionController::RetryAfterMs(s);
+    if (s.ok()) reply->type = MsgType::kExplainReply;
+    return s;
+  });
 }
 
 void Server::HandleCancel(const Message& in) {

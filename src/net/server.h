@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -133,6 +134,13 @@ class Server {
   // Dispatches one decoded request. Returns false when the connection
   // should close (goodbye, protocol violation, injected drop).
   bool HandleMessage(Connection& conn, const Message& in);
+  // kQuery and kExplain share one request path (RunRequest): the session
+  // check, a QueryContext from the request deadline published for
+  // out-of-band cancel, the tenant's admission and accounting, and the
+  // error reply. `body` runs admitted under that context and fills the
+  // success reply itself.
+  void RunRequest(Connection& conn, const Message& in, Message* reply,
+                  const std::function<Status(QueryContext*)>& body);
   void HandleQuery(Connection& conn, const Message& in, Message* reply);
   void HandleExplain(Connection& conn, const Message& in, Message* reply);
   void HandleCancel(const Message& in);
