@@ -64,14 +64,7 @@ Status Checkpointer::Write(TemporalEngine* engine, CheckpointInfo* info) {
                              std::to_string(frames_written_ + 1) + " of " +
                              tmp_path);
     }
-    EncodeWalRecord(rec, &payload);
-    const uint32_t len = static_cast<uint32_t>(payload.size());
-    const uint32_t crc = WalCrc32(
-        reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-    frame.clear();
-    frame.append(reinterpret_cast<const char*>(&len), 4);
-    frame.append(reinterpret_cast<const char*>(&crc), 4);
-    frame.append(payload);
+    EncodeWalFrame(rec, &payload, &frame);
     if (std::fwrite(frame.data(), 1, frame.size(), f) != frame.size()) {
       std::fclose(f);
       return Status::IoError("short write on checkpoint file " + tmp_path);

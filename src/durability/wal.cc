@@ -231,6 +231,19 @@ std::string WalFileMagic() {
   return std::string(kWalMagic, sizeof(kWalMagic));
 }
 
+void EncodeWalFrame(const WalRecord& rec, std::string* payload,
+                    std::string* frame) {
+  EncodeWalRecord(rec, payload);
+  const uint32_t len = static_cast<uint32_t>(payload->size());
+  const uint32_t crc = WalCrc32(
+      reinterpret_cast<const uint8_t*>(payload->data()), payload->size());
+  frame->clear();
+  frame->reserve(payload->size() + 8);
+  frame->append(reinterpret_cast<const char*>(&len), 4);
+  frame->append(reinterpret_cast<const char*>(&crc), 4);
+  frame->append(*payload);
+}
+
 // --- durable-sync primitives ----------------------------------------------
 
 bool DurableSyncEnabled() {
@@ -532,28 +545,40 @@ Status WalWriter::Open(const std::string& path, FaultInjector* fault,
   return OpenAt(path, 1, fault, out);
 }
 
-Status WalWriter::OpenAt(const std::string& path, uint64_t segment_index,
-                         FaultInjector* fault,
-                         std::unique_ptr<WalWriter>* out) {
-  if (segment_index == 0) segment_index = 1;
-  const std::string seg_path = WalSegmentPath(path, segment_index);
+namespace {
+
+// Creates the segment file `seg_path` holding just the magic. The empty
+// segment itself must survive a crash: the file is synced, then the parent
+// directory so the new name is durable too.
+Status CreateWalSegment(const std::string& seg_path, std::FILE** out) {
   std::FILE* f = std::fopen(seg_path.c_str(), "wb");
   if (f == nullptr) {
-    return Status::IoError("cannot create wal file " + seg_path);
+    return Status::IoError("cannot create wal segment " + seg_path);
   }
   if (std::fwrite(kWalMagic, 1, sizeof(kWalMagic), f) != sizeof(kWalMagic) ||
       std::fflush(f) != 0) {
     std::fclose(f);
     return Status::IoError("cannot write wal magic to " + seg_path);
   }
-  // The empty log itself must survive a crash: sync the file, then the
-  // parent directory so the new name is durable too.
   Status st = SyncFileNow(f, seg_path);
   if (st.ok()) st = SyncParentDir(seg_path);
   if (!st.ok()) {
     std::fclose(f);
     return st;
   }
+  *out = f;
+  return Status::OK();
+}
+
+}  // namespace
+
+Status WalWriter::OpenAt(const std::string& path, uint64_t segment_index,
+                         FaultInjector* fault,
+                         std::unique_ptr<WalWriter>* out) {
+  if (segment_index == 0) segment_index = 1;
+  std::FILE* f = nullptr;
+  BIH_RETURN_IF_ERROR(
+      CreateWalSegment(WalSegmentPath(path, segment_index), &f));
   out->reset(new WalWriter(path, f, fault, sizeof(kWalMagic), segment_index));
   return Status::OK();
 }
@@ -613,17 +638,8 @@ Status WalWriter::SyncLocked() {
 Status WalWriter::Append(const WalRecord& rec) {
   MutexLock lock(mu_);
   if (dead_) return DeadStatus();
-  std::string& payload = payload_buf_;
-  EncodeWalRecord(rec, &payload);
   std::string& frame = frame_buf_;
-  frame.clear();
-  frame.reserve(payload.size() + 8);
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  uint32_t crc =
-      WalCrc32(reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  frame.append(reinterpret_cast<const char*>(&crc), 4);
-  frame.append(payload);
+  EncodeWalFrame(rec, &payload_buf_, &frame);
 
   for (int attempt = 1;; ++attempt) {
     size_t write_len = frame.size();
@@ -760,23 +776,10 @@ Status WalWriter::Rotate() {
     return MarkDead("injected rotation failure at rotation " +
                     std::to_string(rotate_index) + " of " + path_);
   }
-  const std::string next_path = WalSegmentPath(path_, segment_index_ + 1);
-  std::FILE* next = std::fopen(next_path.c_str(), "wb");
-  if (next == nullptr) {
-    return MarkDead("cannot create wal segment " + next_path);
-  }
-  if (std::fwrite(kWalMagic, 1, sizeof(kWalMagic), next) !=
-          sizeof(kWalMagic) ||
-      std::fflush(next) != 0) {
-    std::fclose(next);
-    return MarkDead("cannot write wal magic to " + next_path);
-  }
-  Status st = SyncFileNow(next, next_path);
-  if (st.ok()) st = SyncParentDir(next_path);
-  if (!st.ok()) {
-    std::fclose(next);
-    return MarkDead("wal rotation sync failed (" + st.message() + ")");
-  }
+  std::FILE* next = nullptr;
+  Status st =
+      CreateWalSegment(WalSegmentPath(path_, segment_index_ + 1), &next);
+  if (!st.ok()) return MarkDead("wal rotation failed: " + st.message());
   std::fclose(file_);
   file_ = next;
   ++segment_index_;

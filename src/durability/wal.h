@@ -121,6 +121,11 @@ struct WalRecord {
 
 // Serializes `rec` into the payload encoding (no frame header).
 void EncodeWalRecord(const WalRecord& rec, std::string* out);
+// Encodes `rec` as one file frame, [len][crc32(payload)][payload], into
+// *frame — the framing of log segments and checkpoint files alike.
+// `payload` is scratch space the caller may reuse across calls.
+void EncodeWalFrame(const WalRecord& rec, std::string* payload,
+                    std::string* frame);
 // Parses a payload produced by EncodeWalRecord.
 Status DecodeWalRecord(const uint8_t* data, size_t n, WalRecord* out);
 
