@@ -136,6 +136,141 @@ TEST(WalCodecTest, AllRecordKindsRoundTrip) {
   EXPECT_TRUE(def.system_versioned);
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+// The on-disk format, pinned byte for byte. A round trip cannot catch a
+// change made the same way in the encoder and the decoder; these frames
+// can, and they also prove the decoder still reads the committed bytes.
+TEST(WalCodecTest, GoldenFramedBytesOfEveryKind) {
+  using K = WalRecord::Kind;
+  std::vector<std::pair<WalRecord, std::string>> golden;
+  auto add = [&golden](WalRecord r, std::string hex) {
+    golden.emplace_back(std::move(r), std::move(hex));
+  };
+  WalRecord r;
+  r.kind = K::kCreateTable;
+  r.def = ItemDef();
+  add(r,
+      "5f000000a3c45fbf01000000000000000000040000004954454d05000000"
+      "0200000049440005000000505249434501040000004e4f54450202000000"
+      "564203020000005645030100000000000000010000000800000056414c49"
+      "44495459030000000400000001");
+
+  r = WalRecord();
+  r.kind = K::kInsert;
+  r.ts = 12345;
+  r.table = "ITEM";
+  r.row = {Value::Null(), Value(int64_t{-42}), Value(2.5), Value("hi")};
+  add(r,
+      "30000000836b3ba202003930000000000000040000004954454d04000000"
+      "0001d6ffffffffffffff02000000000000044003020000006869");
+
+  r = WalRecord();
+  r.kind = K::kBulkLoad;
+  r.ts = 4;
+  r.table = "ITEM";
+  r.rows = {ItemRow(1, 1.0, "a", 0, 9), ItemRow(2, 2.0, "b", 3, 8)};
+  add(r,
+      "72000000fc2884ba08000400000000000000040000004954454d02000000"
+      "0500000001010000000000000002000000000000f03f0301000000610100"
+      "000000000000000109000000000000000500000001020000000000000002"
+      "000000000000004003010000006201030000000000000001080000000000"
+      "0000");
+
+  r = WalRecord();
+  r.kind = K::kUpdateCurrent;
+  r.ts = 100;
+  r.table = "ITEM";
+  r.key = {Value(int64_t{7})};
+  r.set = {{1, Value(3.5)}, {2, Value("note")}};
+  add(r,
+      "3d0000005132d04603006400000000000000040000004954454d01000000"
+      "0107000000000000000200000001000000020000000000000c4002000000"
+      "03040000006e6f7465");
+
+  r.kind = K::kUpdateSequenced;
+  r.flags = WalRecord::kInTxn;
+  r.period_index = 1;
+  r.period = Period(5, 25);
+  add(r,
+      "5100000037cdf19304016400000000000000040000004954454d01000000"
+      "010700000000000000010000000500000000000000190000000000000002"
+      "00000001000000020000000000000c400200000003040000006e6f7465");
+
+  r.kind = K::kUpdateOverwrite;
+  r.flags = 0;
+  r.set = {{3, Value::Null()}};
+  add(r,
+      "3c0000005abf160f05006400000000000000040000004954454d01000000"
+      "010700000000000000010000000500000000000000190000000000000001"
+      "0000000300000000");
+
+  r = WalRecord();
+  r.kind = K::kDeleteCurrent;
+  r.ts = 101;
+  r.table = "ITEM";
+  r.key = {Value(int64_t{9}), Value("k")};
+  add(r,
+      "25000000cc56c49406006500000000000000040000004954454d02000000"
+      "01090000000000000003010000006b");
+
+  r.kind = K::kDeleteSequenced;
+  r.period = Period(0, Period::kForever);
+  add(r,
+      "39000000e1ff933107006500000000000000040000004954454d02000000"
+      "01090000000000000003010000006b000000000000000000000000ffffff"
+      "ffffffff7f");
+
+  r = WalRecord();
+  r.kind = K::kCommit;
+  r.flags = WalRecord::kInTxn;
+  r.ts = 4242;
+  add(r,
+      "0a000000bd789f0209019210000000000000");
+
+  r = WalRecord();
+  r.kind = K::kSnapshotRows;
+  r.table = "ITEM";
+  r.rows = {ItemRow(3, -0.5, "", 1, 2)};
+  add(r,
+      "43000000093c1cf20a000000000000000000040000004954454d01000000"
+      "0500000001030000000000000002000000000000e0bf0300000000010100"
+      "000000000000010200000000000000");
+
+  r = WalRecord();
+  r.kind = K::kCheckpointFooter;
+  r.ts = 987654321;
+  r.segments_covered = 3;
+  add(r,
+      "12000000d4f1bcc80b00b168de3a000000000300000000000000");
+
+  std::string payload, frame;
+  for (size_t i = 0; i < golden.size(); ++i) {
+    const auto& [rec, hex] = golden[i];
+    EncodeWalFrame(rec, &payload, &frame);
+    EXPECT_EQ(hex, Hex(frame)) << "kind " << static_cast<int>(rec.kind);
+    // Decoding the frame's payload and encoding it again gives the same
+    // bytes: the decoder reads every field the encoder wrote.
+    WalRecord back;
+    ASSERT_TRUE(DecodeWalRecord(
+                    reinterpret_cast<const uint8_t*>(frame.data()) + 8,
+                    frame.size() - 8, &back)
+                    .ok())
+        << i;
+    std::string again;
+    EncodeWalFrame(back, &payload, &again);
+    EXPECT_EQ(frame, again) << "kind " << static_cast<int>(rec.kind);
+  }
+}
+
 TEST(WalCodecTest, CrcDetectsBitFlip) {
   const std::string path = TmpPath("flip.wal");
   FaultInjector fi = FaultInjector::FlipByteNth(2, 13);

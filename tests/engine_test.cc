@@ -437,6 +437,12 @@ TEST_P(EngineTest, UnknownTableErrors) {
             engine_->Insert("NOPE", {}).code());
   EXPECT_EQ(Status::Code::kAlreadyExists,
             engine_->CreateTable(AccountDef()).code());
+  IndexSpec is;
+  is.table = "NOPE";
+  is.columns = {0};
+  is.name = "nope_idx";
+  EXPECT_EQ(Status::Code::kNotFound, engine_->CreateIndex(is).code());
+  EXPECT_EQ(Status::Code::kNotFound, engine_->DropIndexes("NOPE").code());
 }
 
 TEST_P(EngineTest, ArityMismatchRejected) {
