@@ -51,7 +51,8 @@ void Date::ToYMD(int* year, int* month, int* day) const {
 std::string Date::ToString() const {
   int y, m, d;
   ToYMD(&y, &m, &d);
-  char buf[16];
+  // Three ints of up to 11 characters each, two dashes and the NUL.
+  char buf[36];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }

@@ -23,12 +23,13 @@ namespace bih {
 // replaying it into a fresh engine of any architecture reproduces the exact
 // bitemporal state — including system-time coordinates.
 //
-// File layout: an 8-byte magic ("BIHWAL01"), then framed records:
+// File layout: an 8-byte magic ("BIHWAL01"), then records, each in the
+// CRC-guarded frame of common/codec.h:
 //
 //   [u32 payload_len][u32 crc32(payload)][payload]
 //
-// payload = u8 kind, u8 flags, i64 commit_ts, kind-specific body. Strings
-// are u32 length + bytes, values are 1-byte-tagged (null/int/double/str).
+// payload = u8 kind, u8 flags, i64 commit_ts, kind-specific body, written
+// with the strings, values and rows of common/codec.h.
 // A record with flags bit kInTxn set is only durable once a later kCommit
 // record closes its transaction; recovery discards an unterminated batch,
 // which is how a crash between Begin and the Commit flush loses exactly the
@@ -39,10 +40,6 @@ namespace bih {
 // and segment i >= 2 at "<base>.NNNNNN". Rotation is driven by the
 // checkpointer (durability/checkpoint.h); recovery replays the segment
 // chain in index order.
-
-// CRC-32 (IEEE 802.3 polynomial, reflected). Exposed so tests can craft
-// deliberately corrupt frames.
-uint32_t WalCrc32(const uint8_t* data, size_t n);
 
 // The 8-byte file magic shared by log segments and checkpoint files.
 std::string WalFileMagic();

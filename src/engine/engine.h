@@ -135,8 +135,9 @@ class TemporalEngine {
 
   // --- DDL -----------------------------------------------------------
   Status CreateTable(const TableDef& def);
-  virtual Status CreateIndex(const IndexSpec& spec) = 0;
-  virtual Status DropIndexes(const std::string& table) = 0;
+  // Both return NotFound for an unknown table.
+  Status CreateIndex(const IndexSpec& spec);
+  Status DropIndexes(const std::string& table);
 
   // The table must exist (checked).
   const TableDef& GetTableDef(const std::string& table) const;
@@ -230,7 +231,8 @@ class TemporalEngine {
     MutexLock lock(stats_mu_);
     return stats_;
   }
-  virtual TableStats GetTableStats(const std::string& table) const = 0;
+  // The table must exist (checked).
+  TableStats GetTableStats(const std::string& table) const;
 
   // Engine-maintenance hook: System C's delta->main merge; no-op elsewhere.
   virtual void Maintain() {}
@@ -284,6 +286,11 @@ class TemporalEngine {
   // One access to table `t`; counters go to `stats`, already reset by Scan.
   virtual void ScanTable(TableState* t, const ScanRequest& req,
                          ExecStats* stats, const RowCallback& cb) = 0;
+  // The per-table work of CreateIndex, DropIndexes and GetTableStats, on
+  // the table the base has resolved.
+  virtual Status CreateIndexOn(TableState* t, const IndexSpec& spec) = 0;
+  virtual void DropIndexesOn(TableState* t) = 0;
+  virtual TableStats StatsOf(const TableState* t) const = 0;
 
   // --- Version primitives ----------------------------------------------
   // What one engine's storage layout contributes to DML. The statement

@@ -87,6 +87,25 @@ const Schema& TemporalEngine::ScanSchema(const std::string& table) const {
   return t->scan_schema;
 }
 
+Status TemporalEngine::CreateIndex(const IndexSpec& spec) {
+  TableState* t = Find(spec.table);
+  if (t == nullptr) return Status::NotFound("table " + spec.table);
+  return CreateIndexOn(t, spec);
+}
+
+Status TemporalEngine::DropIndexes(const std::string& table) {
+  TableState* t = Find(table);
+  if (t == nullptr) return Status::NotFound("table " + table);
+  DropIndexesOn(t);
+  return Status::OK();
+}
+
+TableStats TemporalEngine::GetTableStats(const std::string& table) const {
+  const TableState* t = Find(table);
+  BIH_CHECK_MSG(t != nullptr, "no table " + table);
+  return StatsOf(t);
+}
+
 std::vector<std::string> TemporalEngine::ListTables() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());

@@ -2,9 +2,8 @@
 
 namespace bih {
 
-Status SystemAEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = static_cast<Table*>(Find(spec.table));
-  if (t == nullptr) return Status::NotFound("table " + spec.table);
+Status SystemAEngine::CreateIndexOn(TableState* state, const IndexSpec& spec) {
+  Table* t = static_cast<Table*>(state);
   if (spec.type == IndexType::kRTree) {
     // Architecture A exposes only B-tree (and hash) structures, like the
     // commercial systems in the study (Section 5.2).
@@ -26,12 +25,10 @@ Status SystemAEngine::CreateIndex(const IndexSpec& spec) {
   return Status::OK();
 }
 
-Status SystemAEngine::DropIndexes(const std::string& table) {
-  Table* t = static_cast<Table*>(Find(table));
-  if (t == nullptr) return Status::NotFound("table " + table);
+void SystemAEngine::DropIndexesOn(TableState* state) {
+  Table* t = static_cast<Table*>(state);
   t->current_indexes.Clear();
   t->history_indexes.Clear();
-  return Status::OK();
 }
 
 Row SystemAEngine::ReadVersion(TableState* t, VersionRef v) {
@@ -118,9 +115,8 @@ void SystemAEngine::ScanTable(TableState* state, const ScanRequest& req,
   }
 }
 
-TableStats SystemAEngine::GetTableStats(const std::string& table) const {
-  const Table* t = static_cast<const Table*>(Find(table));
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
+TableStats SystemAEngine::StatsOf(const TableState* state) const {
+  const Table* t = static_cast<const Table*>(state);
   TableStats s;
   s.current_rows = t->current.LiveCount();
   s.history_rows = t->history.LiveCount();

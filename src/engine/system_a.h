@@ -24,14 +24,12 @@ class SystemAEngine : public TemporalEngine {
  public:
   std::string name() const override { return "SystemA"; }
 
-  Status CreateIndex(const IndexSpec& spec) override;
-  Status DropIndexes(const std::string& table) override;
-
-  TableStats GetTableStats(const std::string& table) const override;
-
  protected:
   void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
+  Status CreateIndexOn(TableState* t, const IndexSpec& spec) override;
+  void DropIndexesOn(TableState* t) override;
+  TableStats StatsOf(const TableState* t) const override;
 
  private:
   // Both partitions store scan-schema rows.

@@ -4,9 +4,8 @@
 
 namespace bih {
 
-Status SystemBEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = static_cast<Table*>(Find(spec.table));
-  if (t == nullptr) return Status::NotFound("table " + spec.table);
+Status SystemBEngine::CreateIndexOn(TableState* state, const IndexSpec& spec) {
+  Table* t = static_cast<Table*>(state);
   if (spec.type == IndexType::kRTree) {
     return Status::Unimplemented("System B supports only B-tree indexes");
   }
@@ -31,12 +30,10 @@ Status SystemBEngine::CreateIndex(const IndexSpec& spec) {
   return Status::OK();
 }
 
-Status SystemBEngine::DropIndexes(const std::string& table) {
-  Table* t = static_cast<Table*>(Find(table));
-  if (t == nullptr) return Status::NotFound("table " + table);
+void SystemBEngine::DropIndexesOn(TableState* state) {
+  Table* t = static_cast<Table*>(state);
   t->current_indexes.Clear();
   t->history_indexes.Clear();
-  return Status::OK();
 }
 
 Row SystemBEngine::StoredRowOf(const Table& t, RowId rid) const {
@@ -278,9 +275,8 @@ void SystemBEngine::InstallClosedVersion(TableState* state, Row stored) {
   }
 }
 
-TableStats SystemBEngine::GetTableStats(const std::string& table) const {
-  const Table* t = static_cast<const Table*>(Find(table));
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
+TableStats SystemBEngine::StatsOf(const TableState* state) const {
+  const Table* t = static_cast<const Table*>(state);
   TableStats s;
   s.current_rows = t->current.LiveCount();
   s.history_rows = t->history.LiveCount();

@@ -36,11 +36,6 @@ class SystemBEngine : public TemporalEngine {
 
   std::string name() const override { return "SystemB"; }
 
-  Status CreateIndex(const IndexSpec& spec) override;
-  Status DropIndexes(const std::string& table) override;
-
-  TableStats GetTableStats(const std::string& table) const override;
-
   // Drains every table's undo log so that concurrent snapshot readers never
   // trigger the background-writer simulation from the scan path.
   void PrepareForReads() override;
@@ -48,6 +43,9 @@ class SystemBEngine : public TemporalEngine {
  protected:
   void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
+  Status CreateIndexOn(TableState* t, const IndexSpec& spec) override;
+  void DropIndexesOn(TableState* t) override;
+  TableStats StatsOf(const TableState* t) const override;
 
  private:
   // Metadata record of one current row in the vertical partition.

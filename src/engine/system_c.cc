@@ -4,9 +4,8 @@
 
 namespace bih {
 
-Status SystemCEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = static_cast<Table*>(Find(spec.table));
-  if (t == nullptr) return Status::NotFound("table " + spec.table);
+Status SystemCEngine::CreateIndexOn(TableState* state, const IndexSpec& spec) {
+  Table* t = static_cast<Table*>(state);
   if (spec.type == IndexType::kRTree) {
     return Status::Unimplemented("System C supports only B-tree indexes");
   }
@@ -17,11 +16,9 @@ Status SystemCEngine::CreateIndex(const IndexSpec& spec) {
   return Status::OK();
 }
 
-Status SystemCEngine::DropIndexes(const std::string& table) {
-  Table* t = static_cast<Table*>(Find(table));
-  if (t == nullptr) return Status::NotFound("table " + table);
+void SystemCEngine::DropIndexesOn(TableState* state) {
+  Table* t = static_cast<Table*>(state);
   t->ignored_indexes.clear();
-  return Status::OK();
 }
 
 Row SystemCEngine::ReadVersion(TableState* t, VersionRef v) {
@@ -181,9 +178,8 @@ void SystemCEngine::InstallClosedVersion(TableState* t, Row stored) {
   static_cast<Table*>(t)->history.Append(stored);
 }
 
-TableStats SystemCEngine::GetTableStats(const std::string& table) const {
-  const Table* t = static_cast<const Table*>(Find(table));
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
+TableStats SystemCEngine::StatsOf(const TableState* state) const {
+  const Table* t = static_cast<const Table*>(state);
   TableStats s;
   s.current_rows = t->delta.LiveCount() + t->main.LiveCount();
   s.history_rows = t->history.LiveCount();

@@ -34,17 +34,15 @@ class SystemCEngine : public TemporalEngine {
   std::string name() const override { return "SystemC"; }
   bool native_app_time() const override { return false; }
 
-  Status CreateIndex(const IndexSpec& spec) override;
-  Status DropIndexes(const std::string& table) override;
-
-  TableStats GetTableStats(const std::string& table) const override;
-
   // Delta->main merge for every table (history relocation included).
   void Maintain() override;
 
  protected:
   void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
+  Status CreateIndexOn(TableState* t, const IndexSpec& spec) override;
+  void DropIndexesOn(TableState* t) override;
+  TableStats StatsOf(const TableState* t) const override;
 
  private:
   enum class Part : uint8_t { kDelta = 0, kMain = 1 };

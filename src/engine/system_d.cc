@@ -2,9 +2,8 @@
 
 namespace bih {
 
-Status SystemDEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = static_cast<Table*>(Find(spec.table));
-  if (t == nullptr) return Status::NotFound("table " + spec.table);
+Status SystemDEngine::CreateIndexOn(TableState* state, const IndexSpec& spec) {
+  Table* t = static_cast<Table*>(state);
   // Single partition: both partition selectors address the same table.
   t->indexes.AddIndex(
       spec, [&](const std::function<void(RowId, const Row&)>& fn) {
@@ -16,11 +15,9 @@ Status SystemDEngine::CreateIndex(const IndexSpec& spec) {
   return Status::OK();
 }
 
-Status SystemDEngine::DropIndexes(const std::string& table) {
-  Table* t = static_cast<Table*>(Find(table));
-  if (t == nullptr) return Status::NotFound("table " + table);
+void SystemDEngine::DropIndexesOn(TableState* state) {
+  Table* t = static_cast<Table*>(state);
   t->indexes.Clear();
-  return Status::OK();
 }
 
 Row SystemDEngine::ReadVersion(TableState* t, VersionRef v) {
@@ -102,9 +99,8 @@ void SystemDEngine::ScanTable(TableState* state, const ScanRequest& req,
   }
 }
 
-TableStats SystemDEngine::GetTableStats(const std::string& table) const {
-  const Table* t = static_cast<const Table*>(Find(table));
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
+TableStats SystemDEngine::StatsOf(const TableState* state) const {
+  const Table* t = static_cast<const Table*>(state);
   TableStats s;
   s.current_rows = t->pk_current.size();
   s.history_rows = t->data.LiveCount() - t->pk_current.size();

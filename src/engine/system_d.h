@@ -26,16 +26,14 @@ class SystemDEngine : public TemporalEngine {
   std::string name() const override { return "SystemD"; }
   bool native_app_time() const override { return false; }
 
-  Status CreateIndex(const IndexSpec& spec) override;
-  Status DropIndexes(const std::string& table) override;
-
   Status DoBulkLoad(const std::string& table, std::vector<Row> rows) override;
-
-  TableStats GetTableStats(const std::string& table) const override;
 
  protected:
   void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
+  Status CreateIndexOn(TableState* t, const IndexSpec& spec) override;
+  void DropIndexesOn(TableState* t) override;
+  TableStats StatsOf(const TableState* t) const override;
 
  private:
   // One table of scan-schema rows. The base's pk_current plays the

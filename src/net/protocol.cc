@@ -1,115 +1,16 @@
 #include "net/protocol.h"
 
 #include <cerrno>
-#include <cstring>
+#include <string>
 
 #include <poll.h>
 
-#include "durability/wal.h"
+#include "common/codec.h"
 
 namespace bih {
 namespace net {
 
 namespace {
-
-// Same primitive vocabulary as the WAL payload encoding (durability/wal.cc
-// keeps its copies file-local; the two codecs evolve independently, only
-// the frame shape and the CRC are shared).
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutString(const std::string& s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s);
-}
-
-void PutValue(const Value& v, std::string* out) {
-  if (v.is_null()) {
-    PutU8(0, out);
-  } else if (v.is_int()) {
-    PutU8(1, out);
-    int64_t i = v.AsInt();
-    char buf[8];
-    std::memcpy(buf, &i, 8);
-    out->append(buf, 8);
-  } else if (v.is_double()) {
-    PutU8(2, out);
-    double d = v.AsDouble();
-    char buf[8];
-    std::memcpy(buf, &d, 8);
-    out->append(buf, 8);
-  } else {
-    PutU8(3, out);
-    PutString(v.AsString(), out);
-  }
-}
-
-struct Cursor {
-  const uint8_t* p;
-  size_t left;
-
-  bool Get(void* dst, size_t n) {
-    if (left < n) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    left -= n;
-    return true;
-  }
-  bool GetU8(uint8_t* v) { return Get(v, 1); }
-  bool GetU32(uint32_t* v) { return Get(v, 4); }
-  bool GetU64(uint64_t* v) { return Get(v, 8); }
-  bool GetString(std::string* s) {
-    uint32_t n;
-    if (!GetU32(&n) || left < n) return false;
-    s->assign(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return true;
-  }
-  bool GetValue(Value* v) {
-    uint8_t tag;
-    if (!GetU8(&tag)) return false;
-    switch (tag) {
-      case 0:
-        *v = Value::Null();
-        return true;
-      case 1: {
-        int64_t i;
-        if (!Get(&i, 8)) return false;
-        *v = Value(i);
-        return true;
-      }
-      case 2: {
-        double d;
-        if (!Get(&d, 8)) return false;
-        *v = Value(d);
-        return true;
-      }
-      case 3: {
-        std::string s;
-        if (!GetString(&s)) return false;
-        *v = Value(std::move(s));
-        return true;
-      }
-      default:
-        return false;
-    }
-  }
-};
 
 bool ValidType(uint8_t t) {
   switch (static_cast<MsgType>(t)) {
@@ -147,11 +48,7 @@ void EncodeMessage(const Message& msg, std::string* payload) {
   PutString(msg.retry_hint, payload);
   PutU32(static_cast<uint32_t>(msg.columns.size()), payload);
   for (const std::string& c : msg.columns) PutString(c, payload);
-  PutU32(static_cast<uint32_t>(msg.rows.size()), payload);
-  for (const Row& row : msg.rows) {
-    PutU32(static_cast<uint32_t>(row.size()), payload);
-    for (const Value& v : row) PutValue(v, payload);
-  }
+  PutRows(msg.rows, payload);
 }
 
 Status DecodeMessage(const uint8_t* data, size_t n, Message* out) {
@@ -170,7 +67,7 @@ Status DecodeMessage(const uint8_t* data, size_t n, Message* out) {
     return Status::IoError("message header truncated");
   }
   uint32_t ncols;
-  if (!c.GetU32(&ncols) || ncols > c.left) {
+  if (!c.GetCount(&ncols)) {
     return Status::IoError("message column list malformed");
   }
   out->columns.reserve(ncols);
@@ -181,26 +78,8 @@ Status DecodeMessage(const uint8_t* data, size_t n, Message* out) {
     }
     out->columns.push_back(std::move(s));
   }
-  uint32_t nrows;
-  if (!c.GetU32(&nrows) || nrows > c.left) {
+  if (!c.GetRows(&out->rows)) {
     return Status::IoError("message row set malformed");
-  }
-  out->rows.reserve(nrows);
-  for (uint32_t i = 0; i < nrows; ++i) {
-    uint32_t nvals;
-    if (!c.GetU32(&nvals) || nvals > c.left) {
-      return Status::IoError("message row set malformed");
-    }
-    Row row;
-    row.reserve(nvals);
-    for (uint32_t j = 0; j < nvals; ++j) {
-      Value v;
-      if (!c.GetValue(&v)) {
-        return Status::IoError("message row set malformed");
-      }
-      row.push_back(std::move(v));
-    }
-    out->rows.push_back(std::move(row));
   }
   if (c.left != 0) {
     return Status::IoError("message has trailing bytes");
@@ -210,36 +89,27 @@ Status DecodeMessage(const uint8_t* data, size_t n, Message* out) {
 
 void EncodeFrame(const std::string& payload, std::string* frame) {
   frame->clear();
-  frame->reserve(payload.size() + kFrameHeaderBytes);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = WalCrc32(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  frame->append(reinterpret_cast<const char*>(&len), 4);
-  frame->append(reinterpret_cast<const char*>(&crc), 4);
-  frame->append(payload);
+  AppendFrame(payload, frame);
 }
 
 Status DecodeFrame(const uint8_t* data, size_t n, size_t* consumed,
                    std::string* payload) {
-  if (n < kFrameHeaderBytes) {
-    return Status::OutOfRange("frame header incomplete");
+  const FrameSlice f = SliceFrame(data, n, kMaxFrameBytes);
+  switch (f.state) {
+    case FrameSlice::State::kShortHeader:
+      return Status::OutOfRange("frame header incomplete");
+    case FrameSlice::State::kTooLong:
+      return Status::IoError("frame length " + std::to_string(f.len) +
+                             " exceeds limit");
+    case FrameSlice::State::kShortPayload:
+      return Status::OutOfRange("frame payload incomplete");
+    case FrameSlice::State::kBadCrc:
+      return Status::IoError("frame crc mismatch");
+    case FrameSlice::State::kComplete:
+      break;
   }
-  uint32_t len, crc;
-  std::memcpy(&len, data, 4);
-  std::memcpy(&crc, data + 4, 4);
-  if (len > kMaxFrameBytes) {
-    return Status::IoError("frame length " + std::to_string(len) +
-                           " exceeds limit");
-  }
-  if (n - kFrameHeaderBytes < len) {
-    return Status::OutOfRange("frame payload incomplete");
-  }
-  const uint8_t* body = data + kFrameHeaderBytes;
-  if (WalCrc32(body, len) != crc) {
-    return Status::IoError("frame crc mismatch");
-  }
-  payload->assign(reinterpret_cast<const char*>(body), len);
-  *consumed = kFrameHeaderBytes + len;
+  payload->assign(reinterpret_cast<const char*>(f.payload), f.len);
+  *consumed = f.size();
   return Status::OK();
 }
 

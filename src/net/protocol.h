@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/status.h"
 #include "common/value.h"
 
@@ -17,20 +18,16 @@ namespace net {
 //
 //   [u32 payload_len][u32 crc32(payload)][payload]
 //
-// — the same frame shape (and the same CRC-32, WalCrc32) as the write-ahead
-// log, so a frame torn mid-send is detected exactly like a frame torn
-// mid-append: the length or the checksum gives it away, never a silent
-// half-message. payload_len is bounded by kMaxFrameBytes; anything larger
-// is a protocol error and closes the connection.
+// — the frame of common/codec.h, which the write-ahead log uses too, so a
+// frame torn mid-send is detected exactly like a frame torn mid-append: the
+// length or the checksum gives it away, never a silent half-message.
+// payload_len is bounded by kMaxFrameBytes; anything larger is a protocol
+// error and closes the connection.
 //
 // The payload is a tagged Message (EncodeMessage/DecodeMessage below):
-// fixed header fields first, then type-specific variable parts. Integers
-// are little-endian host order (the benchmark targets one architecture;
-// the CRC would reject a cross-endian peer's frames immediately). Values
-// reuse the WAL's 1-byte-tagged encoding vocabulary.
+// fixed header fields first, then type-specific variable parts, all in the
+// integers, strings, values and rows of common/codec.h.
 
-// Frame geometry.
-inline constexpr size_t kFrameHeaderBytes = 8;
 // Upper bound on one payload (64 MiB): large enough for any benchmark
 // result set, small enough that a corrupt length field cannot make the
 // server try to buffer gigabytes.

@@ -30,7 +30,8 @@ struct ServerConfig {
   // kernel has already completed the handshake; closing is the only way
   // to signal overload without reading).
   int max_connections = 256;
-  TenantQuota tenant_quota;
+  // Admission limits of each tenant (see TenantState).
+  AdmissionConfig tenant_quota{4, 8, std::chrono::milliseconds(25)};
   // A connection with no complete request for this long is closed. This is
   // the slow-loris bound on the *read* side: a client dribbling a frame
   // byte-by-byte holds a connection, not a thread pool's future.

@@ -14,17 +14,6 @@
 namespace bih {
 namespace net {
 
-// Per-tenant admission limits, layered *above* the SessionManager's global
-// admission control: a tenant first competes for its own bounded quota,
-// then the admitted query competes for the shared engine. The layering is
-// what isolates tenants — one tenant flooding its queue is shed at its own
-// boundary and cannot starve the global queue dry for everyone else.
-struct TenantQuota {
-  int max_inflight = 4;
-  int max_queued = 8;
-  std::chrono::milliseconds retry_after{25};
-};
-
 // Snapshot of one tenant's counters.
 struct TenantStats {
   uint64_t queries = 0;      // requests that reached the tenant boundary
@@ -38,14 +27,17 @@ struct TenantStats {
 };
 
 // One tenant: a name, its own AdmissionController, and outcome counters.
+// The tenant's admission is layered *above* the SessionManager's global
+// admission control: a tenant first competes for its own bounded quota,
+// then the admitted query competes for the shared engine. The layering is
+// what isolates tenants — one tenant flooding its queue is shed at its own
+// boundary and cannot starve the global queue dry for everyone else.
 // Counters are relaxed atomics — they are monotone tallies read only by
 // stats reporting, never used for synchronization.
 class TenantState {
  public:
-  TenantState(std::string name, const TenantQuota& quota)
-      : name_(std::move(name)),
-        admission_(AdmissionConfig{quota.max_inflight, quota.max_queued,
-                                   quota.retry_after}) {}
+  TenantState(std::string name, const AdmissionConfig& quota)
+      : name_(std::move(name)), admission_(quota) {}
 
   TenantState(const TenantState&) = delete;
   TenantState& operator=(const TenantState&) = delete;
@@ -80,7 +72,7 @@ class TenantState {
 // connections hold their TenantState* without further locking.
 class TenantRegistry {
  public:
-  explicit TenantRegistry(const TenantQuota& quota) : quota_(quota) {}
+  explicit TenantRegistry(const AdmissionConfig& quota) : quota_(quota) {}
 
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
@@ -95,7 +87,7 @@ class TenantRegistry {
   std::string StatsJson() const;
 
  private:
-  const TenantQuota quota_;
+  const AdmissionConfig quota_;
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_
       GUARDED_BY(mu_);

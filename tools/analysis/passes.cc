@@ -152,8 +152,7 @@ void RunGuardCoveragePass(const std::vector<FileText>& texts,
   }
 }
 
-void RunBlockingPass(const std::vector<FileText>& texts,
-                     const AnalyzeResult& r, const AnalyzeOptions& opts,
+void RunBlockingPass(const AnalyzeResult& r, const AnalyzeOptions& opts,
                      std::vector<Finding>* findings) {
   std::set<std::string> no_block;
   if (!opts.no_default_no_block) {
@@ -192,7 +191,7 @@ AnalyzeResult Analyze(const std::vector<FileText>& texts,
   result.graph = BuildLockGraph(result.repo, resolver);
   RunLockOrderPass(texts, result, &result.findings);
   RunGuardCoveragePass(texts, result, &result.findings);
-  RunBlockingPass(texts, result, opts, &result.findings);
+  RunBlockingPass(result, opts, &result.findings);
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.path != b.path) return a.path < b.path;
