@@ -8,6 +8,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "workload/context.h"
@@ -16,14 +18,6 @@
 
 namespace bih {
 namespace bench {
-
-// Scale knobs for all benches. The paper runs h=1.0/m=1.0 on a 384 GB
-// server; this repository defaults to small scales suited to a laptop core
-// but keeps the same linear knobs: set BIH_H and BIH_M to raise them.
-inline double EnvScale(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::atof(v);
-}
 
 // Positive double from the environment, else `fallback`.
 inline double EnvDouble(const char* name, double fallback) {
@@ -43,8 +37,11 @@ inline int EnvInt(const char* name, int fallback, int lo, int hi) {
   return fallback;
 }
 
-inline double ScaleH() { return EnvScale("BIH_H", 0.005); }
-inline double ScaleM() { return EnvScale("BIH_M", 0.005); }
+// Scale knobs for all benches. The paper runs h=1.0/m=1.0 on a 384 GB
+// server; this repository defaults to small scales suited to a laptop core
+// but keeps the same linear knobs: set BIH_H and BIH_M to raise them.
+inline double ScaleH() { return EnvDouble("BIH_H", 0.005); }
+inline double ScaleM() { return EnvDouble("BIH_M", 0.005); }
 
 // One shared workload per bench binary: generated once, loaded on demand
 // into each engine (same archive for every engine, Section 4.2).
@@ -69,9 +66,16 @@ class SharedWorkload {
     return *it->second;
   }
 
-  // Fresh engine (not cached); for benches that mutate tuning state.
-  std::unique_ptr<TemporalEngine> Fresh(const std::string& letter) {
-    return LoadEngine(letter, ctx_.initial, ctx_.history);
+  // Fresh engine (not cached) under the index `setting`; for benches that
+  // compare tuning settings.
+  std::unique_ptr<TemporalEngine> Fresh(
+      const std::string& letter, IndexSetting setting = IndexSetting::kNone,
+      IndexType type = IndexType::kBTree) {
+    std::unique_ptr<TemporalEngine> e =
+        LoadEngine(letter, ctx_.initial, ctx_.history);
+    Status st = ApplyIndexSetting(*e, setting, type);
+    BIH_CHECK_MSG(st.ok(), st.ToString());
+    return e;
   }
 
  private:
@@ -107,6 +111,19 @@ double TimeMs(Fn&& fn, int runs = 3) {
   return times[times.size() / 2];
 }
 
+// Runs fn(t) for t in [0, threads) on that many threads, each a closed
+// loop, and joins them; returns the wall time in seconds.
+template <typename Fn>
+double RunThreads(int threads, Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> ts;
+  ts.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) ts.emplace_back([&fn, t] { fn(t); });
+  for (std::thread& th : ts) th.join();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 // The sample at rank floor(p * n), clamped to the maximum; 0 when empty.
 inline double Percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
@@ -129,6 +146,30 @@ inline void PrintRow(const std::string& label,
     std::printf("  %s=%.3f%s", name.c_str(), v, unit);
   }
   std::printf("\n");
+}
+
+// One timed lane: the median of `runs` executions of fn, as one row. The
+// default suits sub-millisecond queries, whose median of 3 still moves
+// with single cache misses and scheduler ticks.
+template <typename Fn>
+void TimeRow(const std::string& label, Fn&& fn, int runs = 21) {
+  PrintRow(label, {{"time", TimeMs(std::forward<Fn>(fn), runs)}});
+}
+
+// Writes {"bench":"<name>",<fields>} to BENCH_<name>.json in the working
+// directory; `fields` is the rest of the object's members. Returns 1 (after
+// saying why) when the file cannot be written, else 0, for main's exit code.
+inline int WriteBenchJson(const std::string& name, const std::string& fields) {
+  const std::string path = "BENCH_" + name + ".json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(f, "{\"bench\":\"%s\",%s}\n", name.c_str(), fields.c_str());
+  std::fclose(f);
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
 }
 
 }  // namespace bench

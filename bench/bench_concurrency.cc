@@ -7,9 +7,14 @@
 //   reads:    point lookups + occasional audit scans, 1..8 threads
 //   mixed:    as above with one write per 32 operations per thread
 //   overload: 8 threads against 2 admission slots and 2ms deadlines; the
-//             counters report how much load the server sheds to keep the
+//             counts report how much load the server sheds to keep the
 //             latency of admitted queries flat.
-#include <benchmark/benchmark.h>
+//
+// Each lane is a closed loop of kOpsPerThread operations per thread; a row
+// reports the median wall time of three runs, the throughput it implies,
+// and how the last run's operations ended (ok + shed + deadline = ops).
+#include <atomic>
+#include <functional>
 
 #include "bench_common.h"
 #include "server/session.h"
@@ -18,17 +23,11 @@ namespace bih {
 namespace bench {
 namespace {
 
-std::vector<std::unique_ptr<SessionManager>>* g_servers =
-    new std::vector<std::unique_ptr<SessionManager>>();
+constexpr int kOpsPerThread = 1000;
 
 uint64_t NextHash(uint64_t* h) {
   *h = *h * 6364136223846793005ULL + 1442695040888963407ULL;
   return *h >> 16;
-}
-
-uint64_t ThreadSeed(const benchmark::State& state) {
-  return 0x9e3779b97f4a7c15ULL *
-         (static_cast<uint64_t>(state.thread_index()) + 1);
 }
 
 ScanRequest PointLookup(int64_t custkey) {
@@ -46,113 +45,84 @@ ScanRequest AuditScan() {
   return req;
 }
 
-void BM_SessionReads(benchmark::State& state, SessionManager* server,
-                     int64_t n_cust) {
-  uint64_t h = ThreadSeed(state);
-  uint64_t rows = 0;
-  for (auto _ : state) {
-    uint64_t r = NextHash(&h);
-    ScanRequest req = r % 64 == 0
-                          ? AuditScan()
-                          : PointLookup(1 + static_cast<int64_t>(r % n_cust));
-    std::vector<Row> out;
-    Status st = server->Read(req, nullptr, &out);
-    if (st.ok()) rows += out.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-  benchmark::DoNotOptimize(rows);
+// Runs `op` (given a per-thread pseudo-random draw) kOpsPerThread times on
+// each of `threads` threads and prints the lane's row.
+void Lane(const std::string& label, int threads,
+          const std::function<Status(uint64_t)>& op) {
+  std::atomic<uint64_t> ok{0}, shed{0}, late{0};
+  const double ms = TimeMs([&] {
+    ok = shed = late = 0;
+    RunThreads(threads, [&](int t) {
+      uint64_t h = 0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(t) + 1);
+      uint64_t n_ok = 0, n_shed = 0, n_late = 0;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const Status st = op(NextHash(&h));
+        if (st.ok()) {
+          ++n_ok;
+        } else if (st.code() == Status::Code::kResourceExhausted) {
+          ++n_shed;
+        } else {
+          ++n_late;
+        }
+      }
+      ok += n_ok;
+      shed += n_shed;
+      late += n_late;
+    });
+  });
+  const double ops = static_cast<double>(threads) * kOpsPerThread;
+  PrintRow(label,
+           {{"wall_ms", ms},
+            {"ops_per_s", ms > 0.0 ? ops * 1000.0 / ms : 0.0},
+            {"ok", static_cast<double>(ok)},
+            {"shed", static_cast<double>(shed)},
+            {"deadline", static_cast<double>(late)}},
+           "");
 }
 
-void BM_SessionMixed(benchmark::State& state, SessionManager* server,
-                     int64_t n_cust) {
-  uint64_t h = ThreadSeed(state);
-  for (auto _ : state) {
-    uint64_t r = NextHash(&h);
-    int64_t key = 1 + static_cast<int64_t>(r % n_cust);
-    if (r % 32 == 0) {
-      Status st = server->UpdateCurrent("CUSTOMER", {Value(key)},
-                                        {{5, Value(double(r % 10000))}});
-      benchmark::DoNotOptimize(st.ok());
-    } else {
-      std::vector<Row> out;
-      Status st = server->Read(PointLookup(key), nullptr, &out);
-      benchmark::DoNotOptimize(st.ok());
-      benchmark::DoNotOptimize(out);
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_SessionOverload(benchmark::State& state, SessionManager* server,
-                        int64_t n_cust) {
-  uint64_t h = ThreadSeed(state);
-  uint64_t ok = 0, shed = 0, late = 0;
-  for (auto _ : state) {
-    uint64_t r = NextHash(&h);
-    ScanRequest req = r % 8 == 0
-                          ? AuditScan()
-                          : PointLookup(1 + static_cast<int64_t>(r % n_cust));
-    QueryContext ctx(QueryContext::Clock::now() + std::chrono::milliseconds(2));
-    std::vector<Row> out;
-    Status st = server->Read(req, &ctx, &out);
-    if (st.ok()) {
-      ++ok;
-    } else if (st.code() == Status::Code::kResourceExhausted) {
-      ++shed;
-    } else {
-      ++late;
-    }
-  }
-  state.counters["ok"] = static_cast<double>(ok);
-  state.counters["shed"] = static_cast<double>(shed);
-  state.counters["deadline"] = static_cast<double>(late);
-  state.SetItemsProcessed(state.iterations());
-}
-
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
-  const int64_t n_cust =
-      static_cast<int64_t>(w.ctx().initial.customer.size());
+  const uint64_t n_cust = w.ctx().initial.customer.size();
+  auto key_of = [n_cust](uint64_t r) {
+    return 1 + static_cast<int64_t>(r % n_cust);
+  };
+  PrintHeader("Concurrency: session-layer throughput");
   for (const std::string& letter : AllEngineLetters()) {
-    g_servers->push_back(
-        std::make_unique<SessionManager>(&w.Engine(letter)));
-    SessionManager* server = g_servers->back().get();
-    benchmark::RegisterBenchmark(
-        ("Concurrency/reads/System" + letter).c_str(),
-        [server, n_cust](benchmark::State& st) {
-          BM_SessionReads(st, server, n_cust);
-        })
-        ->Threads(1)
-        ->Threads(2)
-        ->Threads(4)
-        ->Threads(8)
-        ->UseRealTime()
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
-        ("Concurrency/mixed/System" + letter).c_str(),
-        [server, n_cust](benchmark::State& st) {
-          BM_SessionMixed(st, server, n_cust);
-        })
-        ->Threads(4)
-        ->UseRealTime()
-        ->Unit(benchmark::kMicrosecond);
+    TemporalEngine& engine = w.Engine(letter);
+    const std::string suffix = "/System" + letter + "/real_time/threads:";
+    SessionManager server(&engine);
+    for (int threads : {1, 2, 4, 8}) {
+      Lane("Concurrency/reads" + suffix + std::to_string(threads), threads,
+           [&](uint64_t r) {
+             std::vector<Row> out;
+             return server.Read(r % 64 == 0 ? AuditScan()
+                                            : PointLookup(key_of(r)),
+                                nullptr, &out);
+           });
+    }
+    Lane("Concurrency/mixed" + suffix + "4", 4, [&](uint64_t r) {
+      if (r % 32 == 0) {
+        return server.UpdateCurrent("CUSTOMER", {Value(key_of(r))},
+                                    {{5, Value(double(r % 10000))}});
+      }
+      std::vector<Row> out;
+      return server.Read(PointLookup(key_of(r)), nullptr, &out);
+    });
 
     // A separate session over the same engine with tight admission: 8
     // threads into 2 slots. Shed + deadline + ok accounts for every query.
     SessionConfig tight;
     tight.admission.max_inflight = 2;
     tight.admission.max_queued = 2;
-    g_servers->push_back(
-        std::make_unique<SessionManager>(&w.Engine(letter), tight));
-    SessionManager* tight_server = g_servers->back().get();
-    benchmark::RegisterBenchmark(
-        ("Concurrency/overload/System" + letter).c_str(),
-        [tight_server, n_cust](benchmark::State& st) {
-          BM_SessionOverload(st, tight_server, n_cust);
-        })
-        ->Threads(8)
-        ->UseRealTime()
-        ->Unit(benchmark::kMicrosecond);
+    SessionManager tight_server(&engine, tight);
+    Lane("Concurrency/overload" + suffix + "8", 8, [&](uint64_t r) {
+      QueryContext ctx(QueryContext::Clock::now() +
+                       std::chrono::milliseconds(2));
+      std::vector<Row> out;
+      return tight_server.Read(r % 8 == 0 ? AuditScan()
+                                          : PointLookup(key_of(r)),
+                               &ctx, &out);
+    });
   }
 }
 
@@ -160,9 +130,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

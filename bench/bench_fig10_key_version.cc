@@ -5,19 +5,16 @@
 // Expected shape (Section 5.5.2): Top-N helps in some cases (ordered index
 // access stops early); the correlated K5 formulation never wins because it
 // re-scans the key's versions.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 namespace bih {
 namespace bench {
 namespace {
 
-std::vector<std::unique_ptr<TemporalEngine>>* g_engines =
-    new std::vector<std::unique_ptr<TemporalEngine>>();
+constexpr int kRuns = 5;
 
-void RegisterFor(const std::string& label, TemporalEngine* e,
-                 const WorkloadContext& ctx) {
+void RunFor(const std::string& config, TemporalEngine& e,
+            const WorkloadContext& ctx) {
   const int64_t key = ctx.hot_custkey;
   TemporalScanSpec app_axis;
   app_axis.app_time = TemporalSelector::All();
@@ -27,41 +24,24 @@ void RegisterFor(const std::string& label, TemporalEngine* e,
   TemporalScanSpec sys_axis;
   sys_axis.system_time = TemporalSelector::All();
   sys_axis.app_time = TemporalSelector::All();
-  auto add = [&](const std::string& name, auto fn) {
-    benchmark::RegisterBenchmark(("Fig10/" + name + "/" + label).c_str(),
-                                 [e, fn](benchmark::State& state) {
-                                   for (auto _ : state) {
-                                     benchmark::DoNotOptimize(fn(*e));
-                                   }
-                                 })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(5);
+  auto row = [&](const std::string& name, auto fn) {
+    TimeRow("Fig10/" + name + "/" + config + "/iterations:" +
+                std::to_string(kRuns),
+            fn, kRuns);
   };
-  add("K4_top5_app", [key, app_axis](TemporalEngine& eng) {
-    return K4(eng, key, app_axis, 5);
-  });
-  add("K4_top5_app_past_sys", [key, app_past](TemporalEngine& eng) {
-    return K4(eng, key, app_past, 5);
-  });
-  add("K4_top5_sys", [key, sys_axis](TemporalEngine& eng) {
-    return K4(eng, key, sys_axis, 5);
-  });
-  add("K5_prev_version_app", [key, app_axis](TemporalEngine& eng) {
-    return K5(eng, key, app_axis);
-  });
-  add("K5_prev_version_sys", [key, sys_axis](TemporalEngine& eng) {
-    return K5(eng, key, sys_axis);
-  });
+  row("K4_top5_app", [&] { K4(e, key, app_axis, 5); });
+  row("K4_top5_app_past_sys", [&] { K4(e, key, app_past, 5); });
+  row("K4_top5_sys", [&] { K4(e, key, sys_axis, 5); });
+  row("K5_prev_version_app", [&] { K5(e, key, app_axis); });
+  row("K5_prev_version_sys", [&] { K5(e, key, sys_axis); });
 }
 
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
   const WorkloadContext& ctx = w.ctx();
+  PrintHeader("Figure 10: key-in-time by version count (Key+Time index)");
   for (const std::string& letter : AllEngineLetters()) {
-    g_engines->push_back(w.Fresh(letter));
-    Status st = ApplyIndexSetting(*g_engines->back(), IndexSetting::kKeyTime);
-    BIH_CHECK_MSG(st.ok(), st.ToString());
-    RegisterFor("System" + letter, g_engines->back().get(), ctx);
+    RunFor("System" + letter, *w.Fresh(letter, IndexSetting::kKeyTime), ctx);
   }
 }
 
@@ -69,9 +49,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

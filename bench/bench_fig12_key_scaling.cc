@@ -14,7 +14,7 @@ namespace bench {
 namespace {
 
 void Run() {
-  const double h = EnvScale("BIH_H", 0.001);
+  const double h = EnvDouble("BIH_H", 0.001);
   PrintHeader("Figure 12: key query cost vs history size (Key+Time index)");
   std::printf("%-10s %-12s %14s\n", "m", "engine", "K1[ms]");
   TpchData initial = GenerateTpch({h, 42});

@@ -13,8 +13,8 @@ namespace bench {
 namespace {
 
 void Run() {
-  const double h = EnvScale("BIH_H", 0.001);
-  const double m = EnvScale("BIH_M", 0.002);
+  const double h = EnvDouble("BIH_H", 0.001);
+  const double m = EnvDouble("BIH_M", 0.002);
   PrintHeader("Figure 13: key query cost vs loading batch size");
   std::printf("%-12s %-12s %14s\n", "batch", "engine", "K1[ms]");
   TpchData initial = GenerateTpch({h, 42});

@@ -5,54 +5,36 @@
 // Expected shape (Section 5.6): the temporal-aggregation queries R3a/R3b
 // cost orders of magnitude more than reading the whole history (ALL);
 // System C's raw scan speed does not rescue the complex R queries.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 namespace bih {
 namespace bench {
 namespace {
 
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
+  PrintHeader("Figure 14: range-timeslice queries");
   for (const std::string& letter : AllEngineLetters()) {
-    TemporalEngine* e = &w.Engine(letter);
-    auto add = [&](const std::string& name, auto fn, int iters) {
-      benchmark::RegisterBenchmark(("Fig14/" + name + "/System" + letter).c_str(),
-                                   [fn, e](benchmark::State& state) {
-                                     for (auto _ : state) {
-                                       benchmark::DoNotOptimize(fn(*e));
-                                     }
-                                   })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(iters);
+    TemporalEngine& e = w.Engine(letter);
+    auto row = [&](const std::string& name, int runs, auto fn) {
+      TimeRow("Fig14/" + name + "/System" + letter + "/iterations:" +
+                  std::to_string(runs),
+              fn, runs);
     };
-    add("ALL", [](TemporalEngine& eng) { return QueryAll(eng); }, 3);
-    add("R1_state_changes", [](TemporalEngine& eng) { return R1(eng); }, 3);
-    add("R2_state_durations", [](TemporalEngine& eng) { return R2(eng); }, 3);
-    add("R3a_temporal_agg_count",
-        [](TemporalEngine& eng) {
-          return R3(eng, TemporalAggKind::kCount, /*naive=*/true);
-        },
-        1);
-    add("R3b_temporal_agg_max",
-        [](TemporalEngine& eng) {
-          return R3(eng, TemporalAggKind::kMax, /*naive=*/true);
-        },
-        1);
-    add("R4_stock_differences",
-        [](TemporalEngine& eng) { return R4(eng, 10); }, 3);
-    add("R5_temporal_join",
-        [](TemporalEngine& eng) { return R5(eng, 5000.0, 100000.0); }, 3);
-    add("R7_price_raises", [](TemporalEngine& eng) { return R7(eng, 7.5); },
-        3);
+    row("ALL", 3, [&] { QueryAll(e); });
+    row("R1_state_changes", 3, [&] { R1(e); });
+    row("R2_state_durations", 3, [&] { R2(e); });
+    row("R3a_temporal_agg_count", 1,
+        [&] { R3(e, TemporalAggKind::kCount, /*naive=*/true); });
+    row("R3b_temporal_agg_max", 1,
+        [&] { R3(e, TemporalAggKind::kMax, /*naive=*/true); });
+    row("R4_stock_differences", 3, [&] { R4(e, 10); });
+    row("R5_temporal_join", 3, [&] { R5(e, 5000.0, 100000.0); });
+    row("R7_price_raises", 3, [&] { R7(e, 7.5); });
     // Ablation beyond the paper: the timeline-sweep operator the DBMSs
     // lack, to quantify what native temporal aggregation would buy.
-    add("R3a_timeline_sweep",
-        [](TemporalEngine& eng) {
-          return R3(eng, TemporalAggKind::kCount, /*naive=*/false);
-        },
-        3);
+    row("R3a_timeline_sweep", 3,
+        [&] { R3(e, TemporalAggKind::kCount, /*naive=*/false); });
   }
 }
 
@@ -60,9 +42,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

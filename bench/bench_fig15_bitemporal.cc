@@ -4,46 +4,34 @@
 // Expected shape (Section 5.7): most variants degenerate to table scans and
 // unindexed joins; correlation variants (temporal joins) are the slowest
 // because no engine has a temporal join operator.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 namespace bih {
 namespace bench {
 namespace {
 
-std::vector<std::unique_ptr<TemporalEngine>>* g_engines =
-    new std::vector<std::unique_ptr<TemporalEngine>>();
+constexpr int kRuns = 3;
 
-void RegisterFor(const std::string& label, TemporalEngine* e,
-                 const WorkloadContext& ctx) {
+void RunFor(const std::string& config, TemporalEngine& e,
+            const WorkloadContext& ctx) {
   const int64_t partkey =
       55 % static_cast<int64_t>(ctx.initial.part.size()) + 1;
-  const int64_t app_mid = ctx.app_mid;
-  const Timestamp sys_mid = ctx.sys_mid;
   for (int variant = 1; variant <= 11; ++variant) {
-    benchmark::RegisterBenchmark(
-        ("Fig15/B3_" + std::to_string(variant) + "/" + label).c_str(),
-        [e, variant, partkey, app_mid, sys_mid](benchmark::State& state) {
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(B3(*e, variant, partkey, app_mid, sys_mid));
-          }
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(3);
+    TimeRow("Fig15/B3_" + std::to_string(variant) + "/" + config +
+                "/iterations:" + std::to_string(kRuns),
+            [&] { B3(e, variant, partkey, ctx.app_mid, ctx.sys_mid); },
+            kRuns);
   }
 }
 
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
   const WorkloadContext& ctx = w.ctx();
+  PrintHeader("Figure 15: bitemporal dimension queries");
   for (const std::string& letter : AllEngineLetters()) {
-    g_engines->push_back(w.Fresh(letter));
-    RegisterFor("System" + letter + "_no_index", g_engines->back().get(), ctx);
-    g_engines->push_back(w.Fresh(letter));
-    Status st = ApplyIndexSetting(*g_engines->back(), IndexSetting::kKeyTime);
-    BIH_CHECK_MSG(st.ok(), st.ToString());
-    RegisterFor("System" + letter + "_indexed", g_engines->back().get(), ctx);
+    RunFor("System" + letter + "_no_index", *w.Fresh(letter), ctx);
+    RunFor("System" + letter + "_indexed",
+           *w.Fresh(letter, IndexSetting::kKeyTime), ctx);
   }
 }
 
@@ -51,9 +39,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

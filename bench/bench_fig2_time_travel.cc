@@ -4,43 +4,32 @@
 // Expected shape (paper Section 5.3.1): current-system-time queries are
 // cheapest; varying system time adds the history partition (System B pays
 // an extra reconstruction join); ALL is the most expensive.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 namespace bih {
 namespace bench {
 namespace {
 
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
   const WorkloadContext& ctx = w.ctx();
+  const int64_t app_mid = ctx.app_mid;
+  const int64_t sys_mid = ctx.sys_mid.micros();
+  PrintHeader("Figure 2: basic time travel, no indexes");
   for (const std::string& letter : AllEngineLetters()) {
-    TemporalEngine* e = &w.Engine(letter);
-    auto add = [&](const std::string& name, auto fn) {
-      benchmark::RegisterBenchmark(("Fig2/" + name + "/System" + letter).c_str(),
-                                   [fn, e](benchmark::State& state) {
-                                     for (auto _ : state) {
-                                       benchmark::DoNotOptimize(fn(*e));
-                                     }
-                                   })
-          ->Unit(benchmark::kMillisecond);
+    TemporalEngine& e = w.Engine(letter);
+    auto row = [&](const std::string& name, auto fn) {
+      TimeRow("Fig2/" + name + "/System" + letter, fn);
     };
-    const int64_t app_mid = ctx.app_mid;
-    const int64_t sys_mid = ctx.sys_mid.micros();
-    add("T1_vary_app_curr_sys", [app_mid](TemporalEngine& eng) {
-      return T1(eng, TemporalScanSpec::AppAsOf(app_mid));
-    });
-    add("T1_vary_sys_curr_app", [sys_mid, app_mid](TemporalEngine& eng) {
-      return T1(eng, TemporalScanSpec::BothAsOf(sys_mid, app_mid));
-    });
-    add("T2_vary_app_curr_sys", [app_mid](TemporalEngine& eng) {
-      return T2(eng, TemporalScanSpec::AppAsOf(app_mid));
-    });
-    add("T2_vary_sys_curr_app", [sys_mid, app_mid](TemporalEngine& eng) {
-      return T2(eng, TemporalScanSpec::BothAsOf(sys_mid, app_mid));
-    });
-    add("T5_all_versions", [](TemporalEngine& eng) { return QueryAll(eng); });
+    row("T1_vary_app_curr_sys",
+        [&] { T1(e, TemporalScanSpec::AppAsOf(app_mid)); });
+    row("T1_vary_sys_curr_app",
+        [&] { T1(e, TemporalScanSpec::BothAsOf(sys_mid, app_mid)); });
+    row("T2_vary_app_curr_sys",
+        [&] { T2(e, TemporalScanSpec::AppAsOf(app_mid)); });
+    row("T2_vary_sys_curr_app",
+        [&] { T2(e, TemporalScanSpec::BothAsOf(sys_mid, app_mid)); });
+    row("T5_all_versions", [&] { QueryAll(e); });
   }
 }
 
@@ -48,9 +37,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

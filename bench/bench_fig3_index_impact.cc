@@ -5,76 +5,54 @@
 // Expected shape (Section 5.3.2): limited impact overall — the broad
 // temporal predicates fail the optimizer's selectivity bar, so most plans
 // stay table scans; the GiST index never beats the B-tree.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 namespace bih {
 namespace bench {
 namespace {
 
-void RegisterFor(const std::string& label, TemporalEngine* e,
-                 const WorkloadContext& ctx) {
-  auto add = [&](const std::string& name, auto fn) {
-    benchmark::RegisterBenchmark(("Fig3/" + name + "/" + label).c_str(),
-                                 [fn, e](benchmark::State& state) {
-                                   for (auto _ : state) {
-                                     benchmark::DoNotOptimize(fn(*e));
-                                   }
-                                 })
-        ->Unit(benchmark::kMillisecond);
-  };
+// The Fig. 2 queries on `e`, one row each, labelled by `config`.
+void RunFor(const std::string& config, TemporalEngine& e,
+            const WorkloadContext& ctx) {
   const int64_t app_mid = ctx.app_mid;
   const int64_t sys_mid = ctx.sys_mid.micros();
-  add("T1_vary_app_curr_sys", [app_mid](TemporalEngine& eng) {
-    return T1(eng, TemporalScanSpec::AppAsOf(app_mid));
-  });
-  add("T1_vary_sys_curr_app", [sys_mid, app_mid](TemporalEngine& eng) {
-    return T1(eng, TemporalScanSpec::BothAsOf(sys_mid, app_mid));
-  });
-  add("T2_vary_app_curr_sys", [app_mid](TemporalEngine& eng) {
-    return T2(eng, TemporalScanSpec::AppAsOf(app_mid));
-  });
-  add("T2_vary_sys_curr_app", [sys_mid, app_mid](TemporalEngine& eng) {
-    return T2(eng, TemporalScanSpec::BothAsOf(sys_mid, app_mid));
-  });
-  add("T5_all_versions", [](TemporalEngine& eng) { return QueryAll(eng); });
+  auto row = [&](const std::string& name, auto fn) {
+    TimeRow("Fig3/" + name + "/" + config, fn);
+  };
+  row("T1_vary_app_curr_sys",
+      [&] { T1(e, TemporalScanSpec::AppAsOf(app_mid)); });
+  row("T1_vary_sys_curr_app",
+      [&] { T1(e, TemporalScanSpec::BothAsOf(sys_mid, app_mid)); });
+  row("T2_vary_app_curr_sys",
+      [&] { T2(e, TemporalScanSpec::AppAsOf(app_mid)); });
+  row("T2_vary_sys_curr_app",
+      [&] { T2(e, TemporalScanSpec::BothAsOf(sys_mid, app_mid)); });
+  row("T5_all_versions", [&] { QueryAll(e); });
 }
 
-std::vector<std::unique_ptr<TemporalEngine>>* g_engines =
-    new std::vector<std::unique_ptr<TemporalEngine>>();
-
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
   const WorkloadContext& ctx = w.ctx();
+  PrintHeader("Figure 3: basic time travel under the Time Index setting");
   // No-index baselines.
   for (const std::string letter : {"C", "D"}) {
-    g_engines->push_back(w.Fresh(letter));
-    RegisterFor("System" + letter + "_no_index", g_engines->back().get(), ctx);
+    RunFor("System" + letter + "_no_index", *w.Fresh(letter), ctx);
   }
   // B-tree time indexes.
   for (const std::string& letter : AllEngineLetters()) {
-    g_engines->push_back(w.Fresh(letter));
-    Status st = ApplyIndexSetting(*g_engines->back(), IndexSetting::kTime,
-                                  IndexType::kBTree);
-    BIH_CHECK_MSG(st.ok(), st.ToString());
-    RegisterFor("System" + letter + "_btree", g_engines->back().get(), ctx);
+    RunFor("System" + letter + "_btree",
+           *w.Fresh(letter, IndexSetting::kTime, IndexType::kBTree), ctx);
   }
   // GiST on System D.
-  g_engines->push_back(w.Fresh("D"));
-  Status st = ApplyIndexSetting(*g_engines->back(), IndexSetting::kTime,
-                                IndexType::kRTree);
-  BIH_CHECK_MSG(st.ok(), st.ToString());
-  RegisterFor("SystemD_gist", g_engines->back().get(), ctx);
+  RunFor("SystemD_gist", *w.Fresh("D", IndexSetting::kTime, IndexType::kRTree),
+         ctx);
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

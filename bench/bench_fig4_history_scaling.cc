@@ -15,7 +15,7 @@ namespace bench {
 namespace {
 
 void Run() {
-  const double h = EnvScale("BIH_H", 0.001);
+  const double h = EnvDouble("BIH_H", 0.001);
   std::vector<double> ms_values;
   for (double m : {0.002, 0.005, 0.01, 0.02}) ms_values.push_back(m);
 

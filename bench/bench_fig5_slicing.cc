@@ -5,8 +5,6 @@
 // Expected shape (Section 5.3.4): slicing is *cheaper* than point-point
 // time travel for the column store; indexes bring little because result
 // sets are large; simulated app time behaves like the native clause.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "exec/parallel.h"
 
@@ -14,56 +12,35 @@ namespace bih {
 namespace bench {
 namespace {
 
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
   const WorkloadContext& ctx = w.ctx();
+  const int64_t app_mid = ctx.app_mid;
+  const Timestamp sys_mid = ctx.sys_mid;
+  PrintHeader("Figure 5: temporal slicing");
   for (const std::string& letter : AllEngineLetters()) {
-    TemporalEngine* e = &w.Engine(letter);
-    auto add = [&](const std::string& name, auto fn) {
-      benchmark::RegisterBenchmark(("Fig5/" + name + "/System" + letter).c_str(),
-                                   [fn, e](benchmark::State& state) {
-                                     for (auto _ : state) {
-                                       benchmark::DoNotOptimize(fn(*e));
-                                     }
-                                   })
-          ->Unit(benchmark::kMillisecond);
+    TemporalEngine& e = w.Engine(letter);
+    auto row = [&](const std::string& name, auto fn) {
+      TimeRow("Fig5/" + name + "/System" + letter, fn);
     };
-    const int64_t app_mid = ctx.app_mid;
-    const Timestamp sys_mid = ctx.sys_mid;
-    add("T6_app_point_over_sys", [app_mid](TemporalEngine& eng) {
-      return T6AppPointSysAll(eng, app_mid);
-    });
-    add("T6_simulated_app_over_sys", [app_mid](TemporalEngine& eng) {
-      return T9SimulatedAppSlice(eng, app_mid);
-    });
-    add("T6_sys_point_over_app", [sys_mid](TemporalEngine& eng) {
-      return T6SysPointAppAll(eng, sys_mid);
-    });
-    add("T5_all_versions", [](TemporalEngine& eng) { return QueryAll(eng); });
+    auto t6_sys = [&] { T6SysPointAppAll(e, sys_mid); };
+    auto all = [&] { QueryAll(e); };
+    row("T6_app_point_over_sys", [&] { T6AppPointSysAll(e, app_mid); });
+    row("T6_simulated_app_over_sys",
+        [&] { T9SimulatedAppSlice(e, app_mid); });
+    row("T6_sys_point_over_app", t6_sys);
+    row("T5_all_versions", all);
 
     // Morsel-parallel scaling sweep on the scan-bound full slices: the same
     // queries at 1/2/4/8 scan threads (DESIGN.md "Parallel execution").
     // 1 thread takes the untouched serial path, so threads:1 vs the plain
-    // registration above shows the parallel plumbing's overhead is nil.
-    auto add_mt = [&](const std::string& name, int t, auto fn) {
-      benchmark::RegisterBenchmark(("Fig5/" + name + "/threads:" +
-                                    std::to_string(t) + "/System" + letter)
-                                       .c_str(),
-                                   [fn, e, t](benchmark::State& state) {
-                                     SetDefaultScanThreads(t);
-                                     for (auto _ : state) {
-                                       benchmark::DoNotOptimize(fn(*e));
-                                     }
-                                     SetDefaultScanThreads(0);
-                                   })
-          ->Unit(benchmark::kMillisecond);
-    };
+    // rows above shows the parallel plumbing's overhead is nil.
     for (int t : {1, 2, 4, 8}) {
-      add_mt("T6_sys_point_over_app", t, [sys_mid](TemporalEngine& eng) {
-        return T6SysPointAppAll(eng, sys_mid);
-      });
-      add_mt("T5_all_versions", t,
-             [](TemporalEngine& eng) { return QueryAll(eng); });
+      SetDefaultScanThreads(t);
+      const std::string threads = "/threads:" + std::to_string(t);
+      row("T6_sys_point_over_app" + threads, t6_sys);
+      row("T5_all_versions" + threads, all);
+      SetDefaultScanThreads(0);
     }
   }
 }
@@ -72,9 +49,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

@@ -5,30 +5,21 @@
 // Expected shape (Section 5.3.5): identical answers, but the explicit
 // variant reads the history partition because no optimizer recognizes that
 // AS OF <now> could prune it — explicit is consistently slower.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 namespace bih {
 namespace bench {
 namespace {
 
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
+  PrintHeader("Figure 6: implicit vs explicit current time");
   for (const std::string letter : {"A", "B", "C"}) {
-    TemporalEngine* e = &w.Engine(letter);
-    benchmark::RegisterBenchmark(
-        ("Fig6/T7_implicit_current/System" + letter).c_str(),
-        [e](benchmark::State& state) {
-          for (auto _ : state) benchmark::DoNotOptimize(T7Implicit(*e));
-        })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("Fig6/T7_explicit_current/System" + letter).c_str(),
-        [e](benchmark::State& state) {
-          for (auto _ : state) benchmark::DoNotOptimize(T7Explicit(*e));
-        })
-        ->Unit(benchmark::kMillisecond);
+    TemporalEngine& e = w.Engine(letter);
+    TimeRow("Fig6/T7_implicit_current/System" + letter,
+            [&] { T7Implicit(e); });
+    TimeRow("Fig6/T7_explicit_current/System" + letter,
+            [&] { T7Explicit(e); });
   }
 }
 
@@ -36,9 +27,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

@@ -6,8 +6,6 @@
 // system key index; past-system access degenerates to history scans until
 // the Key+Time index is added; System B keeps a reconstruction penalty;
 // System D pays scans even for current data (no split); System C scans.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "exec/parallel.h"
 
@@ -15,69 +13,52 @@ namespace bih {
 namespace bench {
 namespace {
 
-std::vector<std::unique_ptr<TemporalEngine>>* g_engines =
-    new std::vector<std::unique_ptr<TemporalEngine>>();
+constexpr int kRuns = 5;
 
-void RegisterFor(const std::string& label, TemporalEngine* e,
-                 const WorkloadContext& ctx, bool thread_sweep = false) {
+void RunFor(const std::string& config, TemporalEngine& e,
+            const WorkloadContext& ctx, bool thread_sweep = false) {
   const int64_t key = ctx.hot_custkey;
-  const int64_t sys_mid = ctx.sys_mid.micros();
-  const int64_t app_late = ctx.app_late;
-  auto add = [&](const std::string& name, TemporalScanSpec spec) {
-    benchmark::RegisterBenchmark(
-        ("Fig8/" + name + "/" + label).c_str(),
-        [e, key, spec](benchmark::State& state) {
-          for (auto _ : state) benchmark::DoNotOptimize(K1(*e, key, spec));
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(5);
+  auto row = [&](const std::string& name, const TemporalScanSpec& spec) {
+    TimeRow("Fig8/" + name + "/" + config + "/iterations:" +
+                std::to_string(kRuns),
+            [&] { K1(e, key, spec); }, kRuns);
   };
   TemporalScanSpec app_curr;  // app evolution at current system time
   app_curr.app_time = TemporalSelector::All();
-  add("K1_app_curr_sys", app_curr);
+  row("K1_app_curr_sys", app_curr);
   TemporalScanSpec app_past;  // app evolution at past system time
   app_past.app_time = TemporalSelector::All();
-  app_past.system_time = TemporalSelector::AsOf(sys_mid);
-  add("K1_app_past_sys", app_past);
+  app_past.system_time = TemporalSelector::AsOf(ctx.sys_mid.micros());
+  row("K1_app_past_sys", app_past);
   TemporalScanSpec both;
   both.app_time = TemporalSelector::All();
   both.system_time = TemporalSelector::All();
-  add("K1_both_times", both);
+  row("K1_both_times", both);
   if (thread_sweep) {
     // Morsel-parallel scaling of the history-heavy key query: without
     // indexes this is a full scan of every partition, exactly the path the
     // parallel scheduler splits.
     for (int t : {1, 2, 4, 8}) {
-      benchmark::RegisterBenchmark(
-          ("Fig8/K1_both_times/threads:" + std::to_string(t) + "/" + label)
-              .c_str(),
-          [e, key, both, t](benchmark::State& state) {
-            SetDefaultScanThreads(t);
-            for (auto _ : state) benchmark::DoNotOptimize(K1(*e, key, both));
-            SetDefaultScanThreads(0);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(5);
+      SetDefaultScanThreads(t);
+      row("K1_both_times/threads:" + std::to_string(t), both);
+      SetDefaultScanThreads(0);
     }
   }
   TemporalScanSpec sys_axis;  // system evolution at one app point
   sys_axis.system_time = TemporalSelector::All();
-  sys_axis.app_time = TemporalSelector::AsOf(app_late);
-  add("K1_sys_curr_app", sys_axis);
+  sys_axis.app_time = TemporalSelector::AsOf(ctx.app_late);
+  row("K1_sys_curr_app", sys_axis);
 }
 
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
   const WorkloadContext& ctx = w.ctx();
+  PrintHeader("Figure 8: key-in-time over the full history");
   for (const std::string& letter : AllEngineLetters()) {
-    g_engines->push_back(w.Fresh(letter));
-    RegisterFor("System" + letter + "_no_index", g_engines->back().get(), ctx,
-                /*thread_sweep=*/true);
-    g_engines->push_back(w.Fresh(letter));
-    Status st =
-        ApplyIndexSetting(*g_engines->back(), IndexSetting::kKeyTime);
-    BIH_CHECK_MSG(st.ok(), st.ToString());
-    RegisterFor("System" + letter + "_keytime", g_engines->back().get(), ctx);
+    RunFor("System" + letter + "_no_index", *w.Fresh(letter), ctx,
+           /*thread_sweep=*/true);
+    RunFor("System" + letter + "_keytime",
+           *w.Fresh(letter, IndexSetting::kKeyTime), ctx);
   }
 }
 
@@ -85,9 +66,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

@@ -5,29 +5,21 @@
 // Expected shape (Section 5.5.2): the range restriction changes little
 // compared to K1 — the key predicate dominates — and the narrow projection
 // helps mainly the column store.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 namespace bih {
 namespace bench {
 namespace {
 
-std::vector<std::unique_ptr<TemporalEngine>>* g_engines =
-    new std::vector<std::unique_ptr<TemporalEngine>>();
+constexpr int kRuns = 5;
 
-void RegisterFor(const std::string& label, TemporalEngine* e,
-                 const WorkloadContext& ctx) {
+void RunFor(const std::string& config, TemporalEngine& e,
+            const WorkloadContext& ctx) {
   const int64_t key = ctx.hot_custkey;
-  auto add = [&](const std::string& name, auto fn) {
-    benchmark::RegisterBenchmark(("Fig9/" + name + "/" + label).c_str(),
-                                 [e, fn](benchmark::State& state) {
-                                   for (auto _ : state) {
-                                     benchmark::DoNotOptimize(fn(*e));
-                                   }
-                                 })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(5);
+  auto row = [&](const std::string& name, auto fn) {
+    TimeRow("Fig9/" + name + "/" + config + "/iterations:" +
+                std::to_string(kRuns),
+            fn, kRuns);
   };
   TemporalScanSpec app_range;  // restricted application window
   app_range.app_time = TemporalSelector::Between(ctx.app_early, ctx.app_mid);
@@ -38,33 +30,21 @@ void RegisterFor(const std::string& label, TemporalEngine* e,
   TemporalScanSpec both;
   both.system_time = sys_range.system_time;
   both.app_time = app_range.app_time;
-  add("K2_app_range", [key, app_range](TemporalEngine& eng) {
-    return K2(eng, key, app_range);
-  });
-  add("K2_sys_range", [key, sys_range](TemporalEngine& eng) {
-    return K2(eng, key, sys_range);
-  });
-  add("K2_both_ranges", [key, both](TemporalEngine& eng) {
-    return K2(eng, key, both);
-  });
-  add("K3_app_range_1col", [key, app_range](TemporalEngine& eng) {
-    return K3(eng, key, app_range);
-  });
-  add("K3_sys_range_1col", [key, sys_range](TemporalEngine& eng) {
-    return K3(eng, key, sys_range);
-  });
+  row("K2_app_range", [&] { K2(e, key, app_range); });
+  row("K2_sys_range", [&] { K2(e, key, sys_range); });
+  row("K2_both_ranges", [&] { K2(e, key, both); });
+  row("K3_app_range_1col", [&] { K3(e, key, app_range); });
+  row("K3_sys_range_1col", [&] { K3(e, key, sys_range); });
 }
 
-void RegisterAll() {
+void Run() {
   SharedWorkload& w = SharedWorkload::Get();
   const WorkloadContext& ctx = w.ctx();
+  PrintHeader("Figure 9: key-in-time with range restrictions");
   for (const std::string& letter : AllEngineLetters()) {
-    g_engines->push_back(w.Fresh(letter));
-    RegisterFor("System" + letter + "_no_index", g_engines->back().get(), ctx);
-    g_engines->push_back(w.Fresh(letter));
-    Status st = ApplyIndexSetting(*g_engines->back(), IndexSetting::kKeyTime);
-    BIH_CHECK_MSG(st.ok(), st.ToString());
-    RegisterFor("System" + letter + "_keytime", g_engines->back().get(), ctx);
+    RunFor("System" + letter + "_no_index", *w.Fresh(letter), ctx);
+    RunFor("System" + letter + "_keytime",
+           *w.Fresh(letter, IndexSetting::kKeyTime), ctx);
   }
 }
 
@@ -72,9 +52,7 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bih
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  bih::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  bih::bench::Run();
   return 0;
 }

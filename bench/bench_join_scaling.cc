@@ -10,12 +10,11 @@
 // claim (temporal rewrite + pushdown + scan folding) as a number the
 // artifact diff can watch.
 //
-// Knobs: BIH_JSCALE_H / BIH_JSCALE_M workload scale (0.02), BIH_JSCALE_REPS
-// timed repetitions per lane (3). Output: a human table plus
-// BENCH_join_scaling.json (path via BIH_JOIN_SCALING_JSON). With
-// BIH_JSCALE_GATE=1 the process fails (exit 1) unless the 4-thread lane
-// reaches BIH_JSCALE_MIN_SPEEDUP (default 2.0x) over serial — the
-// acceptance gate for the parallel join/aggregation path.
+// Knobs: BIH_H / BIH_M workload scale (0.02), BIH_JSCALE_REPS timed
+// repetitions per lane (3). Output: a human table plus
+// BENCH_join_scaling.json. With BIH_JSCALE_GATE=1 the process fails (exit 1)
+// unless the 4-thread lane reaches kMinSpeedup over serial — the acceptance
+// gate for the parallel join/aggregation path.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +33,9 @@
 namespace bih {
 namespace bench {
 namespace {
+
+// The gate's bound on the 4-thread lane's speedup over serial.
+constexpr double kMinSpeedup = 2.0;
 
 TemporalScanSpec FullHistory() {
   TemporalScanSpec spec;
@@ -85,8 +87,8 @@ uint64_t TotalExamined(const PlanNode& n) {
 }
 
 int Run() {
-  const double h = EnvDouble("BIH_JSCALE_H", 0.02);
-  const double m = EnvDouble("BIH_JSCALE_M", 0.02);
+  const double h = EnvDouble("BIH_H", 0.02);
+  const double m = EnvDouble("BIH_M", 0.02);
   const int reps = EnvInt("BIH_JSCALE_REPS", 3, 1, 100);
 
   WorkloadConfig cfg;
@@ -187,26 +189,24 @@ int Run() {
               static_cast<unsigned long long>(examined_opt),
               rep.ToString().c_str());
 
-  const char* path = std::getenv("BIH_JOIN_SCALING_JSON");
-  const std::string out = path != nullptr ? path : "BENCH_join_scaling.json";
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
+  char head[128], optimizer[256];
+  std::snprintf(head, sizeof(head),
+                "\"h\":%.4f,\"m\":%.4f,\"join_rows\":%llu,"
+                "\"speedup_at_4\":%.3f,",
+                h, m, static_cast<unsigned long long>(joined), speedup4);
+  std::snprintf(optimizer, sizeof(optimizer),
+                "{\"rows_examined_unopt\":%llu,\"rows_examined_opt\":%llu,"
+                "\"predicates_pushed\":%d,\"conjuncts_folded\":%d,"
+                "\"temporal_rewrites\":%d,\"scans_pruned\":%d}",
+                static_cast<unsigned long long>(examined_unopt),
+                static_cast<unsigned long long>(examined_opt),
+                rep.predicates_pushed, rep.conjuncts_folded,
+                rep.temporal_rewrites, rep.scans_pruned);
+  if (WriteBenchJson("join_scaling", std::string(head) + "\"lanes\":[" +
+                                         json_lanes + "],\"optimizer\":" +
+                                         optimizer) != 0) {
     return 1;
   }
-  std::fprintf(
-      f,
-      "{\"bench\":\"join_scaling\",\"h\":%.4f,\"m\":%.4f,\"join_rows\":%llu,"
-      "\"speedup_at_4\":%.3f,\"lanes\":[%s],\"optimizer\":{"
-      "\"rows_examined_unopt\":%llu,\"rows_examined_opt\":%llu,"
-      "\"predicates_pushed\":%d,\"conjuncts_folded\":%d,"
-      "\"temporal_rewrites\":%d,\"scans_pruned\":%d}}\n",
-      h, m, static_cast<unsigned long long>(joined), speedup4,
-      json_lanes.c_str(), static_cast<unsigned long long>(examined_unopt),
-      static_cast<unsigned long long>(examined_opt), rep.predicates_pushed,
-      rep.conjuncts_folded, rep.temporal_rewrites, rep.scans_pruned);
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
 
   if (EnvInt("BIH_JSCALE_GATE", 0, 0, 1) == 1) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -216,15 +216,14 @@ int Run() {
       std::printf("gate skipped: only %u hardware thread(s) available\n", hw);
       return 0;
     }
-    const double min = EnvDouble("BIH_JSCALE_MIN_SPEEDUP", 2.0);
-    if (speedup4 < min) {
+    if (speedup4 < kMinSpeedup) {
       std::fprintf(stderr,
                    "GATE FAILED: %.2fx at 4 threads (required >= %.2fx)\n",
-                   speedup4, min);
+                   speedup4, kMinSpeedup);
       return 1;
     }
     std::printf("gate passed: %.2fx at 4 threads (required >= %.2fx)\n",
-                speedup4, min);
+                speedup4, kMinSpeedup);
   }
   return 0;
 }

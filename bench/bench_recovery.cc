@@ -32,13 +32,6 @@ namespace bih {
 namespace bench {
 namespace {
 
-// Engine under test; recovery replay is engine-neutral, so one letter is
-// representative (override with BIH_BENCH_ENGINE=B|C|D).
-std::string EngineLetter() {
-  const char* v = std::getenv("BIH_BENCH_ENGINE");
-  return v == nullptr || *v == '\0' ? "A" : v;
-}
-
 // Removes every on-disk trace of the log at `base` (segments + checkpoint)
 // so a stale file from an earlier run cannot leak into this measurement.
 void RemoveLogFamily(const std::string& base) {
@@ -49,7 +42,8 @@ void RemoveLogFamily(const std::string& base) {
 }
 
 void Run() {
-  const std::string letter = EngineLetter();
+  // Recovery replay is engine-neutral, so one engine is representative.
+  const std::string letter = "A";
   SharedWorkload& w = SharedWorkload::Get();
   const TpchData& initial = w.ctx().initial;
   const History& history = w.ctx().history;

@@ -8,8 +8,7 @@
 //
 // Knobs: BIH_SERVE_CONNS (default 8), BIH_SERVE_TENANTS (4),
 // BIH_SERVE_OPS per connection (400), BIH_SERVE_ROWS fixture size (2000).
-// Output: a human table plus machine-readable BENCH_serve.json (path
-// overridable via BIH_SERVE_JSON).
+// Output: a human table plus machine-readable BENCH_serve.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -97,31 +95,23 @@ LatencySummary RunInProcess(SessionManager* session,
                             int threads, int ops) {
   std::vector<std::vector<double>> lat(static_cast<size_t>(threads));
   std::vector<uint64_t> errs(static_cast<size_t>(threads), 0);
-  const auto wall0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> ts;
-  for (int t = 0; t < threads; ++t) {
-    ts.emplace_back([&, t] {
-      for (int i = 0; i < ops; ++i) {
-        const std::string& q = queries[(t * 31 + i) % queries.size()];
-        const auto t0 = std::chrono::steady_clock::now();
-        sql::SqlResult res;
-        Status st = session->ReadTxn(nullptr, [&](TemporalEngine& eng) {
-          return sql::ExecuteSql(eng, q, &res);
-        });
-        const auto t1 = std::chrono::steady_clock::now();
-        if (!st.ok()) {
-          ++errs[t];
-          continue;
-        }
-        lat[t].push_back(
-            std::chrono::duration<double, std::micro>(t1 - t0).count());
+  const double wall = RunThreads(threads, [&](int t) {
+    for (int i = 0; i < ops; ++i) {
+      const std::string& q = queries[(t * 31 + i) % queries.size()];
+      const auto t0 = std::chrono::steady_clock::now();
+      sql::SqlResult res;
+      Status st = session->ReadTxn(nullptr, [&](TemporalEngine& eng) {
+        return sql::ExecuteSql(eng, q, &res);
+      });
+      const auto t1 = std::chrono::steady_clock::now();
+      if (!st.ok()) {
+        ++errs[t];
+        continue;
       }
-    });
-  }
-  for (auto& th : ts) th.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+      lat[t].push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+  });
   uint64_t errors = 0;
   for (uint64_t e : errs) errors += e;
   return Summarize(&lat, errors, wall);
@@ -133,36 +123,27 @@ LatencySummary RunServed(uint16_t port, const std::vector<std::string>& queries,
                          int conns, int tenants, int ops) {
   std::vector<std::vector<double>> lat(static_cast<size_t>(conns));
   std::vector<uint64_t> errs(static_cast<size_t>(conns), 0);
-  const auto wall0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> ts;
-  for (int t = 0; t < conns; ++t) {
-    ts.emplace_back([&, t] {
-      net::Client c;
-      if (!c.Connect("127.0.0.1", port,
-                     "tenant-" + std::to_string(t % tenants))
-               .ok()) {
-        errs[t] += static_cast<uint64_t>(ops);
-        return;
+  const double wall = RunThreads(conns, [&](int t) {
+    net::Client c;
+    if (!c.Connect("127.0.0.1", port, "tenant-" + std::to_string(t % tenants))
+             .ok()) {
+      errs[t] += static_cast<uint64_t>(ops);
+      return;
+    }
+    for (int i = 0; i < ops; ++i) {
+      const std::string& q = queries[(t * 31 + i) % queries.size()];
+      net::QueryReply reply;
+      const auto t0 = std::chrono::steady_clock::now();
+      Status st = c.Query(q, /*deadline_ms=*/10000, &reply);
+      const auto t1 = std::chrono::steady_clock::now();
+      if (!st.ok()) {
+        ++errs[t];
+        continue;
       }
-      for (int i = 0; i < ops; ++i) {
-        const std::string& q = queries[(t * 31 + i) % queries.size()];
-        net::QueryReply reply;
-        const auto t0 = std::chrono::steady_clock::now();
-        Status st = c.Query(q, /*deadline_ms=*/10000, &reply);
-        const auto t1 = std::chrono::steady_clock::now();
-        if (!st.ok()) {
-          ++errs[t];
-          continue;
-        }
-        lat[t].push_back(
-            std::chrono::duration<double, std::micro>(t1 - t0).count());
-      }
-    });
-  }
-  for (auto& th : ts) th.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+      lat[t].push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+  });
   uint64_t errors = 0;
   for (uint64_t e : errs) errors += e;
   return Summarize(&lat, errors, wall);
@@ -229,22 +210,14 @@ int Run() {
                 inproc.p99_us > 0.0 ? served.p99_us / inproc.p99_us : 0.0);
   }
 
-  const char* path = std::getenv("BIH_SERVE_JSON");
-  const std::string out = path != nullptr ? path : "BENCH_serve.json";
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\"bench\":\"serve\",\"connections\":%d,\"tenants\":%d,"
-               "\"ops_per_connection\":%d,\"rows\":%lld,"
-               "\"in_process\":%s,\"served\":%s}\n",
-               conns, tenants, ops, static_cast<long long>(rows),
-               JsonBlock(inproc).c_str(), JsonBlock(served).c_str());
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  char head[160];
+  std::snprintf(head, sizeof(head),
+                "\"connections\":%d,\"tenants\":%d,"
+                "\"ops_per_connection\":%d,\"rows\":%lld,",
+                conns, tenants, ops, static_cast<long long>(rows));
+  return WriteBenchJson("serve", std::string(head) + "\"in_process\":" +
+                                     JsonBlock(inproc) + ",\"served\":" +
+                                     JsonBlock(served));
 }
 
 }  // namespace

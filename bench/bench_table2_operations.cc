@@ -11,8 +11,8 @@ namespace bench {
 namespace {
 
 void Run() {
-  const double h = EnvScale("BIH_H", 0.001);
-  const double m = EnvScale("BIH_M", 0.01);
+  const double h = EnvDouble("BIH_H", 0.001);
+  const double m = EnvDouble("BIH_M", 0.01);
   TpchData initial = GenerateTpch({h, 42});
   GeneratorConfig gcfg;
   gcfg.m = m;

@@ -12,15 +12,13 @@
 // device wait — with syncs stubbed out both lanes measure the same lock.
 //
 // Knobs: BIH_WSCALE_OPS updates per thread (400), BIH_WSCALE_ROWS fixture
-// size (512), BIH_WSCALE_SHARDS admission shards (16). Output: a human
-// table plus BENCH_write_scaling.json (path via BIH_WRITE_SCALING_JSON).
+// size (512). Output: a human table plus BENCH_write_scaling.json.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -68,7 +66,7 @@ struct LaneResult {
 // One measured run: `threads` writers stream UpdateCurrent over disjoint
 // key stripes of the preloaded table through the sharded session path.
 LaneResult RunLane(bool group_commit, int threads, int ops, int64_t rows,
-                   int shards, const std::string& wal_path) {
+                   const std::string& wal_path) {
   LaneResult r;
   std::remove(wal_path.c_str());
   auto engine = BuildEngine(rows);
@@ -79,32 +77,22 @@ LaneResult RunLane(bool group_commit, int threads, int ops, int64_t rows,
 
   SessionConfig cfg;
   cfg.group_commit = group_commit;
-  cfg.write_shards = shards;
   cfg.watchdog_period = std::chrono::milliseconds(0);
   SessionManager session(engine.get(), cfg);
 
   std::vector<uint64_t> errs(static_cast<size_t>(threads), 0);
-  const auto wall0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> ts;
-  for (int t = 0; t < threads; ++t) {
-    ts.emplace_back([&, t] {
-      // Disjoint stripes: writer t updates keys t, t+threads, t+2*threads…
-      // so no two writers ever contend on one key's shard by necessity.
-      for (int i = 0; i < ops; ++i) {
-        const int64_t key =
-            1 + (static_cast<int64_t>(t) +
-                 static_cast<int64_t>(i) * threads) % rows;
-        Status st = session.UpdateCurrent(
-            "ITEM", {Value(key)},
-            {{1, Value(static_cast<double>(i) + 0.25)}});
-        if (!st.ok()) ++errs[static_cast<size_t>(t)];
-      }
-    });
-  }
-  for (auto& th : ts) th.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+  const double wall = RunThreads(threads, [&](int t) {
+    // Disjoint stripes: writer t updates keys t, t+threads, t+2*threads…
+    // so no two writers ever contend on one key's shard by necessity.
+    for (int i = 0; i < ops; ++i) {
+      const int64_t key =
+          1 + (static_cast<int64_t>(t) + static_cast<int64_t>(i) * threads) %
+                  rows;
+      Status st = session.UpdateCurrent(
+          "ITEM", {Value(key)}, {{1, Value(static_cast<double>(i) + 0.25)}});
+      if (!st.ok()) ++errs[static_cast<size_t>(t)];
+    }
+  });
 
   for (uint64_t e : errs) r.errors += e;
   const uint64_t total = static_cast<uint64_t>(threads) *
@@ -126,7 +114,7 @@ int Run() {
 
   const int ops = EnvInt("BIH_WSCALE_OPS", 400, 1, 1000000);
   const int64_t rows = EnvInt("BIH_WSCALE_ROWS", 512, 8, 1000000);
-  const int shards = EnvInt("BIH_WSCALE_SHARDS", 16, 1, 256);
+  const int shards = SessionConfig{}.write_shards;
   const std::vector<int> lanes = {1, 2, 4, 8};
 
   std::printf("bench_write_scaling: %d updates/thread over %lld keys, "
@@ -137,9 +125,9 @@ int Run() {
   double single4 = 0.0, group4 = 0.0;
   for (int threads : lanes) {
     const std::string tag = std::to_string(threads);
-    LaneResult single = RunLane(false, threads, ops, rows, shards,
+    LaneResult single = RunLane(false, threads, ops, rows,
                                 "bench_wscale_single_" + tag + ".wal");
-    LaneResult group = RunLane(true, threads, ops, rows, shards,
+    LaneResult group = RunLane(true, threads, ops, rows,
                                "bench_wscale_group_" + tag + ".wal");
     const double speedup = single.ups > 0.0 ? group.ups / single.ups : 0.0;
     if (threads == 4) {
@@ -177,23 +165,13 @@ int Run() {
               "(acceptance gate: >= 2.5x)\n",
               speedup4);
 
-  const char* path = std::getenv("BIH_WRITE_SCALING_JSON");
-  const std::string out =
-      path != nullptr ? path : "BENCH_write_scaling.json";
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\"bench\":\"write_scaling\",\"ops_per_thread\":%d,"
-               "\"rows\":%lld,\"shards\":%d,\"speedup_at_4_writers\":%.3f,"
-               "\"lanes\":[%s]}\n",
-               ops, static_cast<long long>(rows), shards, speedup4,
-               json_lanes.c_str());
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  char head[160];
+  std::snprintf(head, sizeof(head),
+                "\"ops_per_thread\":%d,\"rows\":%lld,\"shards\":%d,"
+                "\"speedup_at_4_writers\":%.3f,",
+                ops, static_cast<long long>(rows), shards, speedup4);
+  return WriteBenchJson("write_scaling",
+                        std::string(head) + "\"lanes\":[" + json_lanes + "]");
 }
 
 }  // namespace

@@ -248,12 +248,6 @@ class TemporalEngine {
   Timestamp Now() const { return clock_.Now(); }
 
  protected:
-  // Per-engine implementations of the public template methods above. They
-  // must not allocate commit timestamps themselves: MutationTime() returns
-  // the stamp chosen by the dispatching wrapper (or, during recovery, the
-  // original stamp recorded in the log).
-  virtual Status DoBulkLoad(const std::string& table, std::vector<Row> rows);
-
   // Base of each engine's per-table state.
   struct TableState {
     // The scan schema is the user schema plus the two system-time columns;
@@ -286,8 +280,10 @@ class TemporalEngine {
   // One access to table `t`; counters go to `stats`, already reset by Scan.
   virtual void ScanTable(TableState* t, const ScanRequest& req,
                          ExecStats* stats, const RowCallback& cb) = 0;
-  // The per-table work of CreateIndex, DropIndexes and GetTableStats, on
-  // the table the base has resolved.
+  // The per-table work of BulkLoad, CreateIndex, DropIndexes and
+  // GetTableStats, on the table the base has resolved. DoBulkLoad must not
+  // allocate a commit timestamp: the rows carry their own system time.
+  virtual Status DoBulkLoad(TableState* t, std::vector<Row> rows);
   virtual Status CreateIndexOn(TableState* t, const IndexSpec& spec) = 0;
   virtual void DropIndexesOn(TableState* t) = 0;
   virtual TableStats StatsOf(const TableState* t) const = 0;

@@ -142,13 +142,15 @@ Status TemporalEngine::Insert(const std::string& table, Row row) {
 
 Status TemporalEngine::BulkLoad(const std::string& table,
                                 std::vector<Row> rows) {
+  TableState* t = Find(table);
+  if (t == nullptr) return Status::NotFound("table " + table);
   WalRecord rec;
   if (wal_ != nullptr) {
     rec.kind = WalRecord::Kind::kBulkLoad;
     rec.table = table;
     rec.rows = rows;
   }
-  Status st = DoBulkLoad(table, std::move(rows));
+  Status st = DoBulkLoad(t, std::move(rows));
   if (st.ok() && wal_ != nullptr) {
     BIH_RETURN_IF_ERROR(LogMutation(std::move(rec)));
   }
@@ -320,8 +322,11 @@ Status TemporalEngine::ApplyWalRecord(const WalRecord& rec) {
       return AddTable(rec.def);
     case WalRecord::Kind::kInsert:
       return ApplyInsert(rec.table, rec.row);
-    case WalRecord::Kind::kBulkLoad:
-      return DoBulkLoad(rec.table, rec.rows);
+    case WalRecord::Kind::kBulkLoad: {
+      TableState* t = Find(rec.table);
+      if (t == nullptr) return Status::NotFound("table " + rec.table);
+      return DoBulkLoad(t, rec.rows);
+    }
     case WalRecord::Kind::kUpdateCurrent:
     case WalRecord::Kind::kUpdateSequenced:
     case WalRecord::Kind::kUpdateOverwrite:
@@ -379,9 +384,8 @@ void TemporalEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
   }
 }
 
-Status TemporalEngine::DoBulkLoad(const std::string& table,
-                                  std::vector<Row> rows) {
-  (void)table;
+Status TemporalEngine::DoBulkLoad(TableState* t, std::vector<Row> rows) {
+  (void)t;
   (void)rows;
   // Engines with engine-managed system time cannot accept explicit
   // timestamps; the history generator must replay transactions instead

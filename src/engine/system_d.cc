@@ -58,10 +58,8 @@ void SystemDEngine::CloseVersion(TableState* state, VersionRef rid,
   t->indexes.OnUpdate(old_row, *row, rid);
 }
 
-Status SystemDEngine::DoBulkLoad(const std::string& table,
-                               std::vector<Row> rows) {
-  Table* t = static_cast<Table*>(Find(table));
-  if (t == nullptr) return Status::NotFound("table " + table);
+Status SystemDEngine::DoBulkLoad(TableState* state, std::vector<Row> rows) {
+  Table* t = static_cast<Table*>(state);
   const size_t arity = static_cast<size_t>(t->scan_schema.num_columns());
   for (Row& row : rows) {
     if (row.size() != arity) {

@@ -26,11 +26,10 @@ class SystemDEngine : public TemporalEngine {
   std::string name() const override { return "SystemD"; }
   bool native_app_time() const override { return false; }
 
-  Status DoBulkLoad(const std::string& table, std::vector<Row> rows) override;
-
  protected:
   void ScanTable(TableState* t, const ScanRequest& req, ExecStats* stats,
                  const RowCallback& cb) override;
+  Status DoBulkLoad(TableState* t, std::vector<Row> rows) override;
   Status CreateIndexOn(TableState* t, const IndexSpec& spec) override;
   void DropIndexesOn(TableState* t) override;
   TableStats StatsOf(const TableState* t) const override;

@@ -131,8 +131,18 @@ Status SessionManager::ReadAt(Snapshot snap, ScanRequest req,
                               QueryContext* ctx, std::vector<Row>* out) {
   out->clear();
   Status s = ReadTxn(ctx, [&](TemporalEngine& engine) {
-    req.temporal.system_time =
-        ClampToWatermark(req.temporal.system_time, snap.watermark);
+    // An implicit-current read of a snapshot no write has moved past is
+    // already the state at the watermark: no closed version can match
+    // AS OF a watermark at or after its end, so the rows and their order
+    // are the same, and the engines keep pruning the history partition.
+    const bool snapshot_is_current =
+        req.temporal.system_time.kind ==
+            TemporalSelector::Kind::kImplicitCurrent &&
+        snap.watermark >= engine.Now().micros();
+    if (!snapshot_is_current) {
+      req.temporal.system_time =
+          ClampToWatermark(req.temporal.system_time, snap.watermark);
+    }
     req.ctx = ctx;
     // Intra-query parallelism: reads that do not choose a width inherit
     // the manager's; workers run strictly within this shared-lock scope
@@ -140,7 +150,7 @@ Status SessionManager::ReadAt(Snapshot snap, ScanRequest req,
     // see the same pinned snapshot as serial ones.
     req.exec = MergeExecOptions(req.exec, exec_options());
     ExecStats stats;  // keep concurrent scans off the shared stats slot
-    req.stats = &stats;
+    if (req.stats == nullptr) req.stats = &stats;
     engine.Scan(req, [&](const Row& row) {
       out->push_back(row);
       // A version still open at the snapshot may have been closed by a

@@ -598,9 +598,6 @@ Status ExecuteDml(TemporalEngine& engine, const DmlStatement& stmt,
   return Status::OK();
 }
 
-namespace {
-
-// Strips a leading (case-insensitive) EXPLAIN keyword; true when present.
 bool StripExplainPrefix(const std::string& text, std::string* rest) {
   static const char kKeyword[] = "EXPLAIN";
   size_t i = text.find_first_not_of(" \t\r\n");
@@ -618,8 +615,6 @@ bool StripExplainPrefix(const std::string& text, std::string* rest) {
   *rest = text.substr(i);
   return true;
 }
-
-}  // namespace
 
 Status Explain(TemporalEngine& engine, const std::string& text,
                std::string* json, QueryContext* ctx, const ExecOptions& opts) {

@@ -52,6 +52,11 @@ Status ExecuteSql(TemporalEngine& engine, const std::string& text,
                   SqlResult* out, QueryContext* ctx = nullptr,
                   const ExecOptions& opts = {});
 
+// True when `text` starts with the EXPLAIN keyword (any case, after
+// optional whitespace, followed by whitespace); *rest is then the text
+// after the keyword. ExecuteSql and the network client dispatch on this.
+bool StripExplainPrefix(const std::string& text, std::string* rest);
+
 // EXPLAIN worker: plans `text` (a SELECT without the EXPLAIN keyword),
 // runs the optimizer, executes the optimized tree, and renders
 // {"optimizer": {...rule counters...}, "plan": {...PlanToJson tree...}}

@@ -213,6 +213,45 @@ TEST_P(PerEngineTest, SnapshotReadsAreRepeatable) {
   EXPECT_EQ(49u, now.size());
 }
 
+// A keyed "current" read through the session must not scan history just
+// because the session pins a snapshot: with no write past the snapshot it
+// answers like the explicit AS OF <watermark> read, from the key's current
+// versions only, and reports its counters to the caller.
+TEST_P(PerEngineTest, KeyedCurrentReadMatchesSnapshotWithoutHistory) {
+  SessionManager server(MakeLoadedEngine(GetParam(), 20));
+  for (int round = 0; round < 10; ++round) {
+    for (int64_t key : {int64_t{3}, int64_t{7}}) {
+      ASSERT_TRUE(server
+                      .UpdateCurrent("ITEM", {Value(key)},
+                                     {{1, Value(double(100 * round + key))}})
+                      .ok());
+    }
+  }
+  ScanRequest keyed;
+  keyed.table = "ITEM";
+  keyed.equals = {{0, Value(int64_t{7})}};
+
+  ScanRequest current = keyed;
+  ExecStats stats;
+  current.stats = &stats;
+  std::vector<Row> got;
+  ASSERT_TRUE(server.Read(current, nullptr, &got).ok());
+
+  SessionManager::Snapshot snap = server.OpenSnapshot();
+  ScanRequest as_of = keyed;
+  as_of.temporal.system_time = TemporalSelector::AsOf(snap.watermark);
+  std::vector<Row> want;
+  ASSERT_TRUE(server.ReadAt(snap, as_of, nullptr, &want).ok());
+
+  ASSERT_EQ(1u, got.size());
+  EXPECT_EQ(Canonical(want), Canonical(got));
+  EXPECT_EQ(got.size(), stats.rows_output);
+  if (GetParam() == "A") {
+    EXPECT_LE(stats.rows_examined, 1u);  // the key's one current version
+    EXPECT_FALSE(stats.touched_history);
+  }
+}
+
 TEST(SessionTest, ExpiredDeadlineRejectedBeforeAdmission) {
   SessionManager server(MakeLoadedEngine("A", 10));
   QueryContext ctx(QueryContext::Clock::now() - milliseconds(1));

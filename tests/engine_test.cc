@@ -450,8 +450,8 @@ TEST_P(EngineTest, ArityMismatchRejected) {
   EXPECT_EQ(Status::Code::kInvalidArgument, st.code());
 }
 
-// Every statement entry point resolves its table first. (BulkLoad is left
-// out: the native engines reject it before looking at the table.)
+// Every statement entry point resolves its table first, BulkLoad too: an
+// unknown table is NotFound even on the engines that refuse bulk loads.
 TEST_P(EngineTest, DmlOnUnknownTableIsNotFound) {
   const std::vector<Value> key{Value(int64_t{1})};
   const std::vector<ColumnAssignment> set{{2, Value(1.0)}};
@@ -468,6 +468,7 @@ TEST_P(EngineTest, DmlOnUnknownTableIsNotFound) {
             engine_->DeleteCurrent("NOPE", key).code());
   EXPECT_EQ(Status::Code::kNotFound,
             engine_->DeleteSequenced("NOPE", key, 0, p).code());
+  EXPECT_EQ(Status::Code::kNotFound, engine_->BulkLoad("NOPE", {}).code());
 }
 
 TEST_P(EngineTest, MissingKeyIsNotFoundAndChangesNothing) {

@@ -106,6 +106,16 @@ TEST(ParserTest, Errors) {
       ParseSelect("SELECT * FROM T FOR SYSTEM_TIME NEARBY 3", &stmt).ok());
 }
 
+TEST(ParserTest, ExplainKeyword) {
+  std::string rest;
+  ASSERT_TRUE(StripExplainPrefix(" \texplain\nSELECT 1", &rest));
+  EXPECT_EQ("\nSELECT 1", rest);
+  EXPECT_TRUE(StripExplainPrefix("EXPLAIN SELECT * FROM T", &rest));
+  EXPECT_FALSE(StripExplainPrefix("EXPLAINSELECT * FROM T", &rest));
+  EXPECT_FALSE(StripExplainPrefix("EXPLAIN", &rest));
+  EXPECT_FALSE(StripExplainPrefix("SELECT 1", &rest));
+}
+
 // --- end-to-end -----------------------------------------------------------
 
 class SqlExecTest : public ::testing::Test {

@@ -14,7 +14,6 @@
 //   bih_driver serve    --engine A --h 0.002 --m 0.002 --port 4411
 //   bih_driver client   --port 4411 [--tenant acme] "SELECT ..." | --stats
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -771,27 +770,16 @@ int RunClient(const Args& args) {
   if (args.sql.empty()) return UsageHint("client requires a SQL statement");
   // EXPLAIN goes over the wire as its own message type; the reply is one
   // JSON document, not a rows frame.
-  constexpr const char kExplainKw[] = "EXPLAIN ";
-  constexpr size_t kExplainKwLen = sizeof(kExplainKw) - 1;
-  if (args.sql.size() > kExplainKwLen) {
-    bool is_explain = true;
-    for (size_t i = 0; i < kExplainKwLen; ++i) {
-      if (std::toupper(static_cast<unsigned char>(args.sql[i])) !=
-          kExplainKw[i]) {
-        is_explain = false;
-        break;
-      }
-    }
-    if (is_explain) {
-      std::string json;
-      double ms = MeasureMs([&] {
-        st = client.Explain(args.sql.substr(kExplainKwLen),
-                            static_cast<uint32_t>(args.deadline_ms), &json);
-      });
-      if (!st.ok()) return FailWith(st);
-      std::printf("%s\n(explained in %.2f ms)\n", json.c_str(), ms);
-      return 0;
-    }
+  std::string explained;
+  if (sql::StripExplainPrefix(args.sql, &explained)) {
+    std::string json;
+    double ms = MeasureMs([&] {
+      st = client.Explain(explained, static_cast<uint32_t>(args.deadline_ms),
+                          &json);
+    });
+    if (!st.ok()) return FailWith(st);
+    std::printf("%s\n(explained in %.2f ms)\n", json.c_str(), ms);
+    return 0;
   }
   net::QueryReply reply;
   double ms = MeasureMs([&] {
